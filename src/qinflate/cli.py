@@ -17,7 +17,7 @@ import numpy as np
 
 from .dag import build_triangle, injectable_sets, is_inflation, is_nonfanout, parse_dag
 from .errors import QInflateError
-from .linalg import DensityMatrix, HermitianOperator, SubsystemLayout
+from .linalg import VERDICT_TOL, DensityMatrix, HermitianOperator, SubsystemLayout
 from .opt import sweep_tri_bell
 from .reproduce import CLAIMS, run_all, run_claim
 from .states import (
@@ -56,9 +56,11 @@ def _complex_out(z: complex) -> list[float]:
 
 
 def _complex_in(pair: Any) -> complex:
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-        raise QInflateError(f"complex entries must be [re, im] pairs, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    try:
+        re, im = pair if isinstance(pair, (list, tuple)) else ()
+        return complex(float(re), float(im))
+    except (TypeError, ValueError):
+        raise QInflateError(f"complex entries must be [re, im] pairs, got {pair!r}") from None
 
 
 FAMILIES = {
@@ -91,19 +93,31 @@ def load_state(path: str) -> Union[DensityMatrix, Distribution]:
         name = obj["data"].get("family_name")
         if name not in FAMILIES:
             raise QInflateError(f"unknown family {name!r}; known: {sorted(FAMILIES)}")
-        return FAMILIES[name](obj["data"].get("params", {}))
+        try:
+            return FAMILIES[name](obj["data"].get("params", {}))
+        except KeyError as exc:
+            raise QInflateError(f"family {name!r} needs the parameter {exc.args[0]!r}") from None
     if "layout" not in obj:
         raise QInflateError("state file is missing the 'layout' field")
-    labels = tuple(e["label"] for e in obj["layout"])
-    dims = tuple(int(e["dim"]) for e in obj["layout"])
+    try:
+        labels = tuple(e["label"] for e in obj["layout"])
+        dims = tuple(int(e["dim"]) for e in obj["layout"])
+    except (KeyError, TypeError, ValueError):
+        raise QInflateError("each 'layout' entry needs a 'label' and an integer 'dim'") from None
     if kind == "distribution":
-        return Distribution(dims, np.array(obj["data"], dtype=float))
+        try:
+            probs = np.array(obj["data"], dtype=float)
+        except (TypeError, ValueError):
+            raise QInflateError("distribution 'data' must be a list of numbers") from None
+        return Distribution(dims, probs)
     layout = SubsystemLayout(dims, labels)
     if kind == "pure":
         amps = np.array([_complex_in(p) for p in obj["data"]])
         return PureState(layout, amps).to_density()
     if kind == "mixed":
         rows = [[_complex_in(p) for p in row] for row in obj["data"]]
+        if any(len(row) != len(rows) for row in rows):
+            raise QInflateError("mixed 'data' must be a square matrix of [re, im] pairs")
         return DensityMatrix(HermitianOperator(layout, np.array(rows)))
     raise QInflateError(f"unknown kind {kind!r}; expected pure/mixed/distribution/family")
 
@@ -349,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("state", help="path to a JSON state file")
     pw.add_argument("--cut", choices=[*CUTS, "all"], default="all")
     pw.add_argument("--format", choices=["text", "json"], default="text")
-    pw.add_argument("--tol", type=float, default=1e-8,
+    pw.add_argument("--tol", type=float, default=VERDICT_TOL,
                     help="negativity threshold for a witnessed verdict")
     pw.set_defaults(fn=cmd_witness)
 

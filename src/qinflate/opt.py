@@ -11,18 +11,13 @@ expose the incompatibility through the classical cut inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DomainError
-from .linalg import (
-    DensityMatrix,
-    HermitianOperator,
-    SubsystemLayout,
-    partial_transpose,
-)
+from .linalg import DensityMatrix, HermitianOperator, _partial_transpose
 from .states import LocalBasis, tri_bell, tri_bell_t_from_amplitude
 from .witness import WitnessOperator, cut_witness_quantum
 
@@ -59,20 +54,6 @@ def _psd_clip(m: np.ndarray) -> np.ndarray:
     return (vecs * vals) @ vecs.conj().T
 
 
-def _pt_axes(layout: SubsystemLayout, axis: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Partial transpose of one tensor factor as a raw-array map (involution)."""
-    dims = layout.dims
-    n = len(dims)
-
-    def pt(m: np.ndarray) -> np.ndarray:
-        t = m.reshape(dims * 2)
-        axes = list(range(2 * n))
-        axes[axis], axes[n + axis] = axes[n + axis], axes[axis]
-        return t.transpose(axes).reshape(m.shape)
-
-    return pt
-
-
 def ppt_min(w: WitnessOperator) -> SdpResult:
     """Minimize Tr[rho W] over unit-trace states PSD under every single-subsystem
     partial transpose.
@@ -88,14 +69,16 @@ def ppt_min(w: WitnessOperator) -> SdpResult:
         raise DomainError("relaxation covers three subsystems of total dimension <= 16")
     d = layout.total_dim
     wm = w.entries
-    pts = [None] + [_pt_axes(layout, ax) for ax in range(3)]
-    n_cones = len(pts)
+    dims = layout.dims
+    pt_axes = [None, 0, 1, 2]
+    n_cones = len(pt_axes)
     rho_pen = ADMM_PENALTY
 
     def project(i: int, m: np.ndarray) -> np.ndarray:
-        if pts[i] is None:
+        ax = pt_axes[i]
+        if ax is None:
             return _psd_clip(m)
-        return pts[i](_psd_clip(pts[i](m)))
+        return _partial_transpose(_psd_clip(_partial_transpose(m, dims, ax)), dims, ax)
 
     z = np.eye(d, dtype=complex) / d
     xs = [z.copy() for _ in range(n_cones)]

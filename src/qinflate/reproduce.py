@@ -30,14 +30,17 @@ from .opt import iota_tilde_crossing, ppt_min, product_min, sweep_tri_bell
 from .states import (
     LocalBasis,
     ghz_distn,
+    ghz_state,
     is_biseparable_pure,
     measure_local,
     omega_example,
     random_density_matrix,
     random_pure_state,
+    toth_acin_operator,
     tri_bell,
     w_distn,
     w_state,
+    white_noise_mixture,
 )
 from .witness import (
     cut_witness_classical,
@@ -57,7 +60,6 @@ from .witness import (
     werner_thresholds,
     werner_w_eigs,
 )
-from .states import toth_acin_operator, white_noise_mixture, ghz_state
 
 T_STAR = 2 / 0.19  # tri-Bell parameter with leading amplitude 0.9
 

@@ -58,6 +58,8 @@ class PureState:
             raise DimensionError(
                 f"expected {self.layout.total_dim} amplitudes, got {v.shape[0]}"
             )
+        if not np.isfinite(v).all():
+            raise InvalidParameter("amplitudes are not all finite")
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > NORM_TOL:
             raise InvalidParameter(f"norm is {norm!r}, expected 1")
@@ -86,6 +88,8 @@ class Distribution:
             raise DimensionError(
                 f"expected {int(np.prod(dims))} probabilities, got {p.shape[0]}"
             )
+        if not np.isfinite(p).all():
+            raise InvalidParameter("probabilities are not all finite")
         if np.min(p) < -PROB_CLAMP:
             raise InvalidParameter(f"negative probability {np.min(p):.3e}")
         p = np.maximum(p, 0.0)
@@ -122,6 +126,8 @@ class LocalBasis:
             u = np.array(m, dtype=complex)
             if u.ndim != 2 or u.shape[0] != u.shape[1]:
                 raise DimensionError("basis matrices must be square")
+            if not np.isfinite(u).all():
+                raise InvalidParameter("basis matrix has non-finite entries")
             dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
             if dev > 1e-10:
                 raise InvalidParameter(f"basis matrix unitarity deviation {dev:.3e}")
@@ -437,13 +443,10 @@ def random_pure_state(layout: SubsystemLayout, rng: np.random.Generator) -> Pure
 
 
 def random_density_matrix(layout: SubsystemLayout, rng: np.random.Generator) -> DensityMatrix:
-    """Random mixed state: partial trace of a doubled-dimension random pure state."""
-    env = SubsystemLayout(
-        layout.dims + (layout.total_dim,), layout.labels + ("__env__",)
-    )
-    psi = random_pure_state(env, rng)
-    red = partial_trace(psi.projector(), set(layout.labels))
-    red = permute_subsystems(red, layout.labels)
-    # absorb tiny negative eigenvalue noise from the trace-out
-    m = (red.entries + red.entries.conj().T) / 2
+    """Random mixed state: the system marginal G G+ of a random pure state on
+    system (x) environment, G being its amplitudes as a d x d matrix."""
+    d = layout.total_dim
+    env = SubsystemLayout((d, d), ("system", "env"))
+    g = random_pure_state(env, rng).amplitudes.reshape(d, d)
+    m = g @ g.conj().T
     return DensityMatrix(HermitianOperator(layout, m / np.trace(m).real))

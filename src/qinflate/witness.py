@@ -1,10 +1,13 @@
 """Incompatibility witnesses for the triangle network.
 
-Builds the inclusion-exclusion operator Delta from subset marginals, the cut
-witnesses I_xy (quantum and classical), renders verdicts, and implements the
-structural checks used throughout: support/kernel intersection, the
-antiunitary decomposition of Delta for pure three-qubit states, fidelity
-flags, and the closed-form spectra of the named state families.
+Builds the inclusion-exclusion operator Delta from subset marginals and the
+cut witnesses I_xy, quantum and classical. I_xy is Delta on the marginals of
+the cut inflation, where x and y share no source, so rho_xy becomes
+rho_x (x) rho_y: one loop serves Delta and I_xy, a pointwise one the
+classical pair. Also renders verdicts and implements the structural checks
+used throughout: support/kernel intersection, the antiunitary decomposition
+of Delta for pure three-qubit states, fidelity flags, and the closed-form
+spectra of the named state families.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 import string
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -32,7 +35,6 @@ from .linalg import (
     SubsystemLayout,
     embed,
     hermitian_eig,
-    identity,
     kron,
     partial_trace,
     permute_subsystems,
@@ -52,21 +54,6 @@ from .states import (
 
 EQUIMARGINAL_TOL = 1e-8
 CLUSTER_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class _UnvalidatedState:
-    """Duck-typed stand-in for DensityMatrix that skips the PSD check."""
-
-    op: HermitianOperator
-
-    @property
-    def layout(self) -> SubsystemLayout:
-        return self.op.layout
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.op.entries
 
 
 @dataclass(frozen=True)
@@ -152,6 +139,28 @@ def _check_equimarginal(marginals: Mapping[frozenset, DensityMatrix]) -> None:
                 )
 
 
+def _inclusion_exclusion(
+    terms: Iterable[HermitianOperator], full: SubsystemLayout
+) -> HermitianOperator:
+    """1 + sum of (-1)^|S| m_S (x) 1 over terms m_S on |S| factors, in the order
+    given, embedded into (and labelled as) `full`."""
+    acc = np.eye(full.total_dim)
+    for m in terms:
+        sign = -1.0 if m.layout.n_subsystems % 2 else 1.0
+        acc = acc + sign * embed(m, full).entries
+    return HermitianOperator(full, acc)
+
+
+def _pointwise_inclusion_exclusion(
+    terms: Iterable[tuple[int, np.ndarray]], dims: tuple[int, ...]
+) -> np.ndarray:
+    """1 + sum of (-1)^|S| t_S over (|S|, t_S) pairs whose tensors broadcast to dims."""
+    acc = np.ones(dims)
+    for size, t in terms:
+        acc = acc + (-1.0 if size % 2 else 1.0) * t
+    return acc
+
+
 def hall_delta(marginals: Mapping[frozenset, DensityMatrix]) -> WitnessOperator:
     """Alternating-sign sum of subset marginals, tensored with identities.
 
@@ -169,11 +178,9 @@ def hall_delta(marginals: Mapping[frozenset, DensityMatrix]) -> WitnessOperator:
             if frozenset(combo) not in marginals:
                 raise MissingMarginal(f"missing marginal for {combo}")
     _check_equimarginal(marginals)
-    acc = identity(full)
-    for key, rho in marginals.items():
-        sign = -1.0 if len(key) % 2 else 1.0
-        acc = acc + sign * embed(rho.op, full)
-    return WitnessOperator(acc, "hall_delta")
+    return WitnessOperator(
+        _inclusion_exclusion([rho.op for rho in marginals.values()], full), "hall_delta"
+    )
 
 
 def marginals_of(rho: DensityMatrix) -> dict[frozenset, DensityMatrix]:
@@ -229,12 +236,11 @@ def classical_delta(
                 raise InconsistentMarginals(
                     f"marginal of {pos} on {sorted(sub)} deviates by {dev:.3e}"
                 )
-    acc = np.ones(tuple(dims))
-    for key, d in margs.items():
-        sign = -1.0 if len(key) % 2 else 1.0
-        shape = tuple(dims[i] if i in key else 1 for i in range(n))
-        acc = acc + sign * d.tensor.reshape(shape)
-    return acc
+    terms = [
+        (len(key), d.tensor.reshape(tuple(dims[i] if i in key else 1 for i in range(n))))
+        for key, d in margs.items()
+    ]
+    return _pointwise_inclusion_exclusion(terms, tuple(dims))
 
 
 def cut_witness_quantum(
@@ -242,41 +248,39 @@ def cut_witness_quantum(
 ) -> WitnessOperator:
     """I_xy = 1 - rho_x - rho_y - rho_z + rho_x (x) rho_y + rho_xz + rho_yz.
 
-    Materialized on the alphabetically sorted label order, so matrices print
-    in the canonical product basis regardless of the cut. A raw unit-trace
-    Hermitian operator is accepted so spectrum identities can be checked on
-    family members outside the PSD range.
+    This is Delta on the marginals of the cut inflation, where x and y share
+    no source, so rho_xy becomes rho_x (x) rho_y. Materialized on the
+    alphabetically sorted label order, so matrices print in the canonical
+    product basis regardless of the cut. A raw unit-trace Hermitian operator
+    is accepted so spectrum identities can be checked on family members
+    outside the PSD range.
     """
-    if isinstance(rho, HermitianOperator):
-        if abs(rho.trace() - 1.0) > 1e-10:
-            raise InvalidParameter(f"trace is {rho.trace()!r}, expected 1")
-        rho = _UnvalidatedState(rho)
-    if rho.layout.n_subsystems != 3:
+    if isinstance(rho, HermitianOperator) and abs(rho.trace() - 1.0) > 1e-10:
+        raise InvalidParameter(f"trace is {rho.trace()!r}, expected 1")
+    op = rho if isinstance(rho, HermitianOperator) else rho.op
+    if op.layout.n_subsystems != 3:
         raise DimensionError("cut witness needs exactly three subsystems")
     x, y = cut
     if x == y:
         raise UnknownLabel(f"cut labels must differ, got ({x}, {y})")
-    labels = rho.layout.labels
+    labels = op.layout.labels
     for lab in (x, y):
         if lab not in labels:
             raise UnknownLabel(f"cut label {lab!r} not in layout {labels}")
     (z,) = [lab for lab in labels if lab not in (x, y)]
-    full = rho.layout.sorted()
-    m = {s: partial_trace(rho.op, set(s)) for s in ((x,), (y,), (z,), (x, z), (y, z))}
-    prod_xy = kron(m[(x,)], m[(y,)])
-    acc = identity(full)
-    for term in ((x,), (y,), (z,)):
-        acc = acc - embed(m[term], full)
-    for term in ((x, z), (y, z)):
-        acc = acc + embed(m[term], full)
-    acc = acc + embed(prod_xy, full)
-    return WitnessOperator(acc, f"cut:{x}{y}")
+    m_x, m_y, m_z, m_xz, m_yz = (
+        partial_trace(op, set(s)) for s in ((x,), (y,), (z,), (x, z), (y, z))
+    )
+    terms = [m_x, m_y, m_z, m_xz, m_yz, kron(m_x, m_y)]
+    return WitnessOperator(_inclusion_exclusion(terms, op.layout.sorted()), f"cut:{x}{y}")
 
 
 def cut_witness_classical(p: Distribution, cut: tuple[str, str]) -> np.ndarray:
     """Pointwise cut inequality tensor for a three-variable distribution.
 
-    Variables are addressed by the letters A, B, C in tensor-axis order.
+    The diagonal of the quantum I_xy on the encoded distribution: Delta on the
+    cut inflation's marginals, with p_xy replaced by p_x p_y. Variables are
+    addressed by the letters A, B, C in tensor-axis order.
     """
     if len(p.outcome_dims) != 3:
         raise DimensionError("classical cut witness needs exactly three variables")
@@ -287,26 +291,11 @@ def cut_witness_classical(p: Distribution, cut: tuple[str, str]) -> np.ndarray:
     ax, ay = labels.index(x), labels.index(y)
     (az,) = [i for i in range(3) if i not in (ax, ay)]
     t = p.tensor
-    dims = p.outcome_dims
-
-    def single(i: int) -> np.ndarray:
-        shape = tuple(dims[j] if j == i else 1 for j in range(3))
-        return t.sum(axis=tuple(k for k in range(3) if k != i)).reshape(shape)
-
-    def pair(i: int, j: int) -> np.ndarray:
-        drop = [k for k in range(3) if k not in (i, j)][0]
-        shape = tuple(dims[k] if k != drop else 1 for k in range(3))
-        return t.sum(axis=drop).reshape(shape)
-
-    return (
-        np.ones(dims)
-        - single(ax)
-        - single(ay)
-        - single(az)
-        + single(ax) * single(ay)
-        + pair(min(ax, az), max(ax, az))
-        + pair(min(ay, az), max(ay, az))
-    )
+    p_x, p_y, p_z = (t.sum(axis=tuple(k for k in range(3) if k != i), keepdims=True)
+                     for i in (ax, ay, az))
+    p_xz, p_yz = (t.sum(axis=i, keepdims=True) for i in (ay, ax))
+    terms = [(1, p_x), (1, p_y), (1, p_z), (2, p_x * p_y), (2, p_xz), (2, p_yz)]
+    return _pointwise_inclusion_exclusion(terms, p.outcome_dims)
 
 
 def verdict(
@@ -315,9 +304,13 @@ def verdict(
     """Witnessed incompatibility iff the minimum eigenvalue/entry is < -tol.
 
     A nonnegative witness is never proof of compatibility, hence the
-    inconclusive branch carries no evidence.
+    inconclusive branch carries no evidence. A non-finite witness raises.
     """
-    if isinstance(w, WitnessOperator):
+    is_op = isinstance(w, WitnessOperator)
+    t = w.spectrum.eigenvalues if is_op else np.asarray(w, dtype=float)
+    if not np.isfinite(t).all():
+        raise InvalidParameter("witness has non-finite values")
+    if is_op:
         lam = w.min_eigenvalue()
         if lam < -tol:
             vec = w.spectrum.eigenvectors[:, 0]
@@ -325,7 +318,6 @@ def verdict(
                 "witnessed_incompatible", Evidence(w.kind, lam, vector=vec)
             )
         return Verdict("inconclusive")
-    t = np.asarray(w, dtype=float)
     lo = float(t.min())
     if lo < -tol:
         outcome = tuple(int(i) for i in np.unravel_index(int(t.argmin()), t.shape))

@@ -159,3 +159,43 @@ def classical_cut_tensor_oracle(p: np.ndarray, ax: int, ay: int) -> np.ndarray:
                     + pair(ay, o[ay], az, o[az])
                 )
     return out
+
+
+def cut_witness_oracle(
+    m: np.ndarray, dims: tuple[int, ...], labels: tuple[str, ...], cut: tuple[str, str]
+) -> np.ndarray:
+    """I_xy entry by entry on the alphabetically sorted label order.
+
+    I_xy = 1 - rho_x - rho_y - rho_z + rho_x (x) rho_y + rho_xz + rho_yz, each
+    term read off oracle marginals at the row and column multi-indices.
+    """
+    import itertools
+
+    x, y = labels.index(cut[0]), labels.index(cut[1])
+    (z,) = [i for i in range(3) if i not in (x, y)]
+    marg = {
+        keep: partial_trace_oracle(m, dims, keep)
+        for keep in ((x,), (y,), (z,), tuple(sorted((x, z))), tuple(sorted((y, z))))
+    }
+    marg[(x, y)] = kron_oracle(marg[(x,)], marg[(y,)])
+    signs = {(x,): -1, (y,): -1, (z,): -1, (x, y): 1,
+             tuple(sorted((x, z))): 1, tuple(sorted((y, z))): 1}
+    order = sorted(range(3), key=lambda i: labels[i])
+    index_sets = list(itertools.product(*[range(dims[i]) for i in order]))
+    side = len(index_sets)
+    out = np.zeros((side, side), dtype=complex)
+    for r, row in enumerate(index_sets):
+        for c, col in enumerate(index_sets):
+            ri = dict(zip(order, row))
+            ci = dict(zip(order, col))
+            total = 1.0 if ri == ci else 0.0
+            for keep, sign in signs.items():
+                if any(ri[i] != ci[i] for i in range(3) if i not in keep):
+                    continue
+                fr = fc = 0
+                for i in keep:
+                    fr = fr * dims[i] + ri[i]
+                    fc = fc * dims[i] + ci[i]
+                total += sign * marg[keep][fr, fc]
+            out[r, c] = total
+    return out

@@ -67,6 +67,54 @@ class TestStateFiles:
         assert main(["witness", str(path)]) == 1
 
 
+QUBIT_LAYOUT = [{"label": s, "dim": 2} for s in "ABC"]
+
+
+def _run_bad_file(tmp_path, capsys, doc) -> str:
+    """Exit code must be 1; returns the error line."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["witness", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    return err
+
+
+class TestMalformedStateFiles:
+    def test_nan_distribution(self, tmp_path, capsys):
+        probs = [float("nan")] + [1 / 7] * 7
+        doc = {"layout": QUBIT_LAYOUT, "kind": "distribution", "data": probs}
+        assert "finite" in _run_bad_file(tmp_path, capsys, doc)
+
+    def test_nan_mixed(self, tmp_path, capsys):
+        rows = [[[1 / 8 if i == j else 0.0, 0.0] for j in range(8)] for i in range(8)]
+        rows[0][1] = [float("nan"), 0.0]
+        doc = {"layout": QUBIT_LAYOUT, "kind": "mixed", "data": rows}
+        assert "non-finite" in _run_bad_file(tmp_path, capsys, doc)
+
+    def test_ragged_mixed_rows(self, tmp_path, capsys):
+        rows = [[[1 / 8 if i == j else 0.0, 0.0] for j in range(8)] for i in range(8)]
+        rows[3] = rows[3][:5]
+        doc = {"layout": QUBIT_LAYOUT, "kind": "mixed", "data": rows}
+        assert "'data'" in _run_bad_file(tmp_path, capsys, doc)
+
+    def test_non_integer_dim(self, tmp_path, capsys):
+        layout = [{"label": "A", "dim": "x"}, {"label": "B", "dim": 2}, {"label": "C", "dim": 2}]
+        doc = {"layout": layout, "kind": "distribution", "data": [0.125] * 8}
+        assert "'dim'" in _run_bad_file(tmp_path, capsys, doc)
+
+    def test_non_numeric_entries(self, tmp_path, capsys):
+        doc = {"layout": QUBIT_LAYOUT, "kind": "distribution", "data": [[0.5], [0.25, 0.25]]}
+        assert "'data'" in _run_bad_file(tmp_path, capsys, doc)
+        doc = {"layout": QUBIT_LAYOUT, "kind": "pure", "data": [["x", 0.0]] * 8}
+        assert "[re, im]" in _run_bad_file(tmp_path, capsys, doc)
+
+    def test_family_missing_parameter(self, tmp_path, capsys):
+        doc = {"kind": "family", "data": {"family_name": "tri_bell", "params": {}}}
+        err = _run_bad_file(tmp_path, capsys, doc)
+        assert "tri_bell" in err and "'t'" in err
+
+
 class TestWitnessCommand:
     def test_witnessed_exit_code(self, tmp_path, capsys):
         path = write_family(tmp_path, "ghz")

@@ -8,6 +8,7 @@ import pytest
 from qinflate.errors import (
     DimensionError,
     DuplicateLabel,
+    InvalidParameter,
     NoConvergence,
     NotHermitian,
     NotProjector,
@@ -83,6 +84,13 @@ class TestHermitianOperator:
     def test_wrong_shape_rejected(self):
         with pytest.raises(DimensionError):
             HermitianOperator(QUBIT3, np.eye(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[1, 1] = bad
+        with pytest.raises(InvalidParameter, match="non-finite"):
+            HermitianOperator(QUBIT, m)
 
     def test_arithmetic(self):
         x = random_hermitian(QUBIT3)

@@ -23,11 +23,11 @@ from qinflate.opt import (
 from qinflate.states import QUBIT3, ghz_state, tri_bell, w_state
 from qinflate.witness import WitnessOperator, cut_witness_quantum
 
-cvxpy = pytest.importorskip("cvxpy")
-
 
 def _cvxpy_ppt_min(w: WitnessOperator) -> float:
     """Reference PPT-relaxation value from an interior-point solver."""
+    import cvxpy
+
     dims = w.layout.dims
     d = int(np.prod(dims))
     rho = cvxpy.Variable((d, d), hermitian=True)
@@ -81,6 +81,7 @@ class TestPptMin:
             assert float(np.linalg.eigvalsh(pt.entries)[0]) > -1e-5
 
     def test_matches_interior_point_solver(self):
+        pytest.importorskip("cvxpy")
         for w in (
             cut_witness_quantum(ghz_state().to_density(), ("A", "B")),
             cut_witness_quantum(w_state().to_density(), ("A", "C")),

@@ -39,6 +39,8 @@ from qinflate.states import (
     z3_twirl,
 )
 
+from oracles import partial_trace_oracle
+
 RNG = np.random.default_rng(417)
 
 
@@ -75,6 +77,25 @@ class TestNamedStates:
         p[3] = 1.0
         rho = encode_distribution(Distribution((2, 2, 2), p))
         np.testing.assert_allclose(rho.entries @ rho.entries, rho.entries, atol=1e-14)
+
+
+class TestNonFiniteInput:
+    def test_pure_state(self):
+        v = np.full(8, np.nan, dtype=complex)
+        with pytest.raises(InvalidParameter, match="finite"):
+            PureState(QUBIT3, v)
+
+    def test_distribution(self):
+        p = np.full(8, 1 / 7)
+        p[0] = np.nan
+        with pytest.raises(InvalidParameter, match="finite"):
+            Distribution((2, 2, 2), p)
+
+    def test_local_basis(self):
+        u = np.eye(2)
+        u[0, 1] = np.inf
+        with pytest.raises(InvalidParameter, match="finite"):
+            LocalBasis((np.eye(2), u, np.eye(2)))
 
 
 class TestTriBell:
@@ -315,6 +336,29 @@ class TestRandomEnsembles:
         rho = random_density_matrix(lay, RNG)
         assert rho.op.trace() == pytest.approx(1.0)
         assert min_eigenvalue(rho.op) >= -1e-10
+
+    def test_random_mixed_matches_traced_purification(self):
+        for dims in ((2,), (2, 2), (3, 2)):
+            lay = SubsystemLayout(dims, tuple("ABC"[: len(dims)]))
+            d = lay.total_dim
+            rho = random_density_matrix(lay, np.random.default_rng(5))
+            rng = np.random.default_rng(5)
+            v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+            v /= np.linalg.norm(v)
+            want = partial_trace_oracle(
+                np.outer(v, v.conj()), dims + (d,), tuple(range(len(dims)))
+            )
+            np.testing.assert_allclose(rho.entries, want / np.trace(want).real, atol=1e-14)
+
+    def test_random_mixed_valid_on_4x4x4(self):
+        lay = SubsystemLayout((4, 4, 4), ("A", "B", "C"))
+        rho = random_density_matrix(lay, np.random.default_rng(6))
+        assert rho.layout == lay
+        assert rho.op.trace() == pytest.approx(1.0, abs=1e-12)
+        vals = np.linalg.eigvalsh(rho.entries)
+        assert vals[0] >= -1e-12
+        # a purification with a 64-dimensional environment has full rank
+        assert vals[0] > 1e-8
 
     def test_seeded_reproducibility(self):
         a = random_pure_state(QUBIT3, np.random.default_rng(11)).amplitudes

@@ -9,6 +9,7 @@ from qinflate.errors import (
     DimensionError,
     DomainError,
     InconsistentMarginals,
+    InvalidParameter,
     MissingMarginal,
     OddCardinalityRequired,
     UnknownLabel,
@@ -62,7 +63,7 @@ from qinflate.witness import (
     werner_w_eigs,
 )
 
-from oracles import classical_cut_tensor_oracle, jacobi_eigh
+from oracles import classical_cut_tensor_oracle, cut_witness_oracle, jacobi_eigh
 
 CUTS = (("A", "B"), ("A", "C"), ("B", "C"))
 
@@ -74,6 +75,15 @@ class TestHallDelta:
             rho = random_density_matrix(QUBIT3, rng)
             d = hall_delta(marginals_of(rho))
             assert d.min_eigenvalue() > -1e-10
+
+    def test_psd_on_five_qubit_marginals(self):
+        labels = tuple("ABCDE")
+        rho = random_density_matrix(SubsystemLayout((2,) * 5, labels), np.random.default_rng(16))
+        margs = marginals_of(rho)
+        assert len(margs) == 30
+        d = hall_delta(margs)
+        assert d.layout.labels == labels
+        assert d.min_eigenvalue() > -1e-10
 
     def test_even_cardinality_rejected(self):
         layout = SubsystemLayout((2, 2), ("A", "B"))
@@ -180,6 +190,15 @@ class TestCutWitness:
             # directly: 1 - 3*(1/2) + 1/4 + 1/4 + 1/4 = 1/4 on the diagonal
             assert np.max(np.abs(w.entries - 0.25 * np.eye(8))) < 1e-12
 
+    def test_matches_oracle_on_unsorted_mixed_dimensions(self):
+        dims, labels = (3, 2, 2), ("C", "A", "B")
+        rho = random_density_matrix(SubsystemLayout(dims, labels), np.random.default_rng(17))
+        for cut in CUTS + (("C", "A"),):
+            w = cut_witness_quantum(rho, cut)
+            assert w.layout.labels == ("A", "B", "C")
+            want = cut_witness_oracle(rho.entries, dims, labels, cut)
+            assert np.max(np.abs(w.entries - want)) < 1e-13
+
     def test_rejects_bad_labels(self):
         rho = ghz_state().to_density()
         with pytest.raises(UnknownLabel):
@@ -244,6 +263,11 @@ class TestVerdict:
         t = np.array([[-1e-9, 0.1], [0.2, 0.3]])
         assert not verdict(t).witnessed
         assert verdict(t, tol=1e-10).witnessed
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, bad):
+        with pytest.raises(InvalidParameter, match="non-finite"):
+            verdict(np.array([[bad, 0.1], [0.2, 0.3]]))
 
 
 class TestPureDeltaStructure:
