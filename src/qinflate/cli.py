@@ -104,13 +104,20 @@ def load_state(path: str) -> Union[DensityMatrix, Distribution]:
         dims = tuple(int(e["dim"]) for e in obj["layout"])
     except (KeyError, TypeError, ValueError):
         raise QInflateError("each 'layout' entry needs a 'label' and an integer 'dim'") from None
+    layout = SubsystemLayout(dims, labels)
     if kind == "distribution":
+        # Cuts address a distribution's variables by axis as A, B, C, ... (the
+        # labels save_state writes), so other labels are refused, not misread.
+        axis_labels = tuple(chr(ord("A") + i) for i in range(len(dims)))
+        if layout.labels != axis_labels:
+            raise QInflateError(
+                f"distribution layout labels {layout.labels} must be {axis_labels} in axis order"
+            )
         try:
             probs = np.array(obj["data"], dtype=float)
         except (TypeError, ValueError):
             raise QInflateError("distribution 'data' must be a list of numbers") from None
         return Distribution(dims, probs)
-    layout = SubsystemLayout(dims, labels)
     if kind == "pure":
         amps = np.array([_complex_in(p) for p in obj["data"]])
         return PureState(layout, amps).to_density()

@@ -7,6 +7,7 @@ rather than by axis bookkeeping at every call site.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -41,18 +42,18 @@ class SubsystemLayout:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+        object.__setattr__(self, "dims", tuple(map(int, self.dims)))
+        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
         if len(self.dims) != len(self.labels) or len(self.dims) < 1:
             raise DimensionError("layout needs one label per dimension, at least one")
-        if any(d < 1 for d in self.dims):
+        if min(self.dims) < 1:
             raise DimensionError(f"local dimensions must be >= 1, got {self.dims}")
         if len(set(self.labels)) != len(self.labels):
             raise DuplicateLabel(f"repeated labels in {self.labels}")
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def n_subsystems(self) -> int:
@@ -81,13 +82,6 @@ class SubsystemLayout:
         return SubsystemLayout(tuple(p[1] for p in pairs), tuple(p[0] for p in pairs))
 
 
-def _as_matrix(entries: np.ndarray | Sequence, side: int) -> np.ndarray:
-    m = np.array(entries, dtype=complex)
-    if m.shape != (side, side):
-        raise DimensionError(f"expected a {side}x{side} matrix, got shape {m.shape}")
-    return m
-
-
 @dataclass(frozen=True)
 class HermitianOperator:
     """Dense Hermitian matrix on the total space of `layout`."""
@@ -96,13 +90,18 @@ class HermitianOperator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _as_matrix(self.entries, self.layout.total_dim)
+        side = self.layout.total_dim
+        m = np.asarray(self.entries, dtype=complex)
+        if m.shape != (side, side):
+            raise DimensionError(f"expected a {side}x{side} matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise InvalidParameter("operator has non-finite entries")
-        dev = np.max(np.abs(m - m.conj().T))
+        h = m.conj().T
+        dev = np.abs(m - h).max()
         if dev > HERMITICITY_TOL:
             raise NotHermitian(f"max deviation from conjugate transpose is {dev:.3e}")
-        m = (m + m.conj().T) / 2
+        # a fresh array, so the caller's input is never frozen or aliased
+        m = (m + h) / 2
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -178,7 +177,13 @@ def kron(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     if common:
         raise DuplicateLabel(f"labels {sorted(common)} appear on both operands")
     layout = SubsystemLayout(a.layout.dims + b.layout.dims, a.layout.labels + b.layout.labels)
-    return HermitianOperator(layout, np.kron(a.entries, b.entries))
+    return HermitianOperator(layout, _kron(a.entries, b.entries))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Raw Kronecker product of two matrices: the products np.kron forms."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def _permute(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -215,7 +220,7 @@ def embed(x: HermitianOperator, full: SubsystemLayout) -> HermitianOperator:
         if full.dim_of(lab) != x.layout.dim_of(lab):
             raise DimensionError(f"dimension mismatch on label {lab!r}")
     rest = tuple(full.dim_of(s) for s in missing)
-    m = np.kron(x.entries, np.eye(int(np.prod(rest))))
+    m = _kron(x.entries, np.eye(math.prod(rest)))
     labels = x.layout.labels + tuple(missing)
     perm = [labels.index(lab) for lab in full.labels]
     return HermitianOperator(full, _permute(m, x.layout.dims + rest, perm))
@@ -232,7 +237,7 @@ def partial_trace(x: HermitianOperator, keep: Iterable[str]) -> HermitianOperato
     for ax in reversed(range(n)):
         if x.layout.labels[ax] not in keep:
             cur = t.ndim // 2
-            t = np.trace(t, axis1=ax, axis2=cur + ax)
+            t = t.trace(axis1=ax, axis2=cur + ax)
     layout = x.layout.restrict(keep)
     d = layout.total_dim
     return HermitianOperator(layout, t.reshape(d, d))

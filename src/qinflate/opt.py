@@ -6,6 +6,10 @@ relaxation over states with positive partial transpose on every single
 subsystem (lower bound), solved by consensus-splitting ADMM. A strictly
 positive relaxation value proves that no local product-basis measurement can
 expose the incompatibility through the classical cut inequality.
+
+scipy is imported on the first product search (`product_min`, and through it
+`sweep_tri_bell`), not when this module is imported, so `import qinflate` and
+every other computation need numpy alone.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError
 from .linalg import DensityMatrix, HermitianOperator, _partial_transpose
@@ -25,6 +28,21 @@ ADMM_PENALTY = 1.0
 ADMM_MAX_ITER = 20000
 ADMM_TOL = 1e-7
 DEFAULT_RESTARTS = 64
+
+
+def _load_minimize():
+    from scipy.optimize import minimize
+
+    globals()["minimize"] = minimize
+    return minimize
+
+
+def __getattr__(name: str):
+    # `opt.minimize` stays a module attribute, bound on first use; product_min
+    # calls whatever is bound to it then, a counting wrapper for instance.
+    if name == "minimize":
+        return _load_minimize()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -149,30 +167,30 @@ def product_min(w: WitnessOperator, restarts: int = DEFAULT_RESTARTS,
     if rng is None:
         rng = np.random.default_rng()
     dims = layout.dims
-    n_params = [2 * (d - 1) for d in dims]
-    splits = np.cumsum(n_params)[:-1]
+    ends = np.cumsum([2 * (d - 1) for d in dims]).tolist()
+    spans = list(zip([0] + ends[:-1], ends, dims))
     wm = w.entries
 
     def objective(params: np.ndarray) -> float:
-        chunks = np.split(params, splits)
-        vec = _unit_vector(chunks[0], dims[0])
-        for chunk, d in zip(chunks[1:], dims[1:]):
-            vec = np.kron(vec, _unit_vector(chunk, d))
+        vec = None
+        for lo, hi, d in spans:
+            u = _unit_vector(params[lo:hi], d)
+            # the products np.kron(vec, u) forms, without its generic set-up
+            vec = u if vec is None else (vec[:, None] * u[None, :]).reshape(-1)
         return float(np.real(vec.conj() @ wm @ vec))
 
+    search = globals().get("minimize") or _load_minimize()
     best_val = np.inf
     best_params = None
-    total = sum(n_params)
     for _ in range(int(restarts)):
-        x0 = rng.uniform(0, np.pi, total)
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
+        x0 = rng.uniform(0, np.pi, ends[-1])
+        res = search(objective, x0, method="Nelder-Mead",
+                     options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
         if res.fun < best_val:
             best_val = float(res.fun)
             best_params = res.x
-    chunks = np.split(best_params, splits)
     mats = tuple(
-        _complete_basis(_unit_vector(chunk, d)) for chunk, d in zip(chunks, dims)
+        _complete_basis(_unit_vector(best_params[lo:hi], d)) for lo, hi, d in spans
     )
     return ProductSearchResult(best_val, LocalBasis(mats), int(restarts))
 

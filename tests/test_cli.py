@@ -109,6 +109,17 @@ class TestMalformedStateFiles:
         doc = {"layout": QUBIT_LAYOUT, "kind": "pure", "data": [["x", 0.0]] * 8}
         assert "[re, im]" in _run_bad_file(tmp_path, capsys, doc)
 
+    def test_duplicate_distribution_labels(self, tmp_path, capsys):
+        layout = [{"label": s, "dim": 2} for s in "CCB"]
+        doc = {"layout": layout, "kind": "distribution", "data": list(ghz_distn().probs)}
+        assert "repeated labels" in _run_bad_file(tmp_path, capsys, doc)
+
+    def test_reordered_distribution_labels(self, tmp_path, capsys):
+        layout = [{"label": s, "dim": 2} for s in "BAC"]
+        doc = {"layout": layout, "kind": "distribution", "data": list(ghz_distn().probs)}
+        err = _run_bad_file(tmp_path, capsys, doc)
+        assert "('B', 'A', 'C')" in err and "('A', 'B', 'C')" in err
+
     def test_family_missing_parameter(self, tmp_path, capsys):
         doc = {"kind": "family", "data": {"family_name": "tri_bell", "params": {}}}
         err = _run_bad_file(tmp_path, capsys, doc)

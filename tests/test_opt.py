@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qinflate
+from qinflate import opt
 from qinflate.errors import DomainError
 from qinflate.linalg import (
     DensityMatrix,
@@ -149,6 +156,30 @@ class TestProductMin:
             vec = np.kron(vec, m[:, 0])
         got = float(np.real(vec.conj() @ w.entries @ vec))
         assert got == pytest.approx(res.value, abs=1e-9)
+
+
+class TestScipyBinding:
+    def test_import_leaves_scipy_unloaded(self):
+        code = ("import sys, qinflate, qinflate.cli, qinflate.reproduce; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        src = str(Path(qinflate.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout.strip() == "[]"
+
+    def test_product_search_calls_the_bound_minimize(self, monkeypatch):
+        real = opt.minimize
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(opt, "minimize", counting)
+        w = cut_witness_quantum(ghz_state().to_density(), ("A", "B"))
+        res = product_min(w, 2, np.random.default_rng(27))
+        assert len(calls) == 2 == res.restarts_used
 
 
 class TestSweep:
