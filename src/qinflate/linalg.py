@@ -3,6 +3,20 @@
 Operators carry a :class:`SubsystemLayout` naming their tensor factors, so
 partial traces, partial transposes and embeddings can be requested by label
 rather than by axis bookkeeping at every call site.
+
+Validation happens once, at the boundary. The public constructors of
+:class:`SubsystemLayout`, :class:`HermitianOperator` and
+:class:`DensityMatrix` check every input (shape, finiteness, Hermiticity,
+distinct labels, trace and positivity) and symmetrise the matrix. The
+operations on validated operators -- `partial_trace`, `partial_transpose`,
+`permute_subsystems`, `embed`, `kron`, `+`, `-` and real `*` -- build their
+results through the private `_trusted` constructors, unchecked. That is
+exact, not an approximation: sums, real scalings, index permutations and
+Kronecker products of conjugate pairs (operands kept in the same order) are
+conjugate-symmetric bit for bit in IEEE arithmetic, so the skipped
+symmetrisation would return the same array. Arrays that are Hermitian only
+up to rounding -- outer products v v+ under fused multiply-add,
+eigen-reconstructions -- still go through the public constructors.
 """
 
 from __future__ import annotations
@@ -51,6 +65,14 @@ class SubsystemLayout:
         if len(set(self.labels)) != len(self.labels):
             raise DuplicateLabel(f"repeated labels in {self.labels}")
 
+    @classmethod
+    def _trusted(cls, dims: tuple[int, ...], labels: tuple[str, ...]) -> "SubsystemLayout":
+        """Layout from int dims and str labels already known valid, unchecked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "dims", dims)
+        object.__setattr__(obj, "labels", labels)
+        return obj
+
     @property
     def total_dim(self) -> int:
         return math.prod(self.dims)
@@ -73,13 +95,15 @@ class SubsystemLayout:
         keep = set(keep)
         for lab in keep:
             self.axis(lab)
+        if not keep:
+            raise DimensionError("layout needs one label per dimension, at least one")
         pairs = [(d, s) for d, s in zip(self.dims, self.labels) if s in keep]
-        return SubsystemLayout(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+        return SubsystemLayout._trusted(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
     def sorted(self) -> "SubsystemLayout":
         """The same factors in alphabetical label order."""
         pairs = sorted(zip(self.labels, self.dims))
-        return SubsystemLayout(tuple(p[1] for p in pairs), tuple(p[0] for p in pairs))
+        return SubsystemLayout._trusted(tuple(p[1] for p in pairs), tuple(p[0] for p in pairs))
 
 
 @dataclass(frozen=True)
@@ -105,6 +129,20 @@ class HermitianOperator:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
+    @classmethod
+    def _trusted(cls, layout: SubsystemLayout, m: np.ndarray) -> "HermitianOperator":
+        """Operator from a complex matrix built from validated operators.
+
+        `m` must already be exactly conjugate-symmetric, finite and of the
+        layout's shape, and must not alias an array a caller can write: it is
+        frozen and kept as is.
+        """
+        m.setflags(write=False)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "layout", layout)
+        object.__setattr__(obj, "entries", m)
+        return obj
+
     @property
     def side(self) -> int:
         return self.layout.total_dim
@@ -114,14 +152,17 @@ class HermitianOperator:
 
     def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
         self._check_same_layout(other)
-        return HermitianOperator(self.layout, self.entries + other.entries)
+        return HermitianOperator._trusted(self.layout, self.entries + other.entries)
 
     def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
         self._check_same_layout(other)
-        return HermitianOperator(self.layout, self.entries - other.entries)
+        return HermitianOperator._trusted(self.layout, self.entries - other.entries)
 
     def __mul__(self, scalar: float) -> "HermitianOperator":
-        return HermitianOperator(self.layout, self.entries * float(scalar))
+        scalar = float(scalar)
+        if not math.isfinite(scalar):
+            raise InvalidParameter(f"scalar {scalar!r} is not finite")
+        return HermitianOperator._trusted(self.layout, self.entries * scalar)
 
     __rmul__ = __mul__
 
@@ -145,6 +186,13 @@ class DensityMatrix:
         lo = float(np.linalg.eigvalsh(self.op.entries)[0])
         if lo < -PSD_TOL:
             raise InvalidParameter(f"minimum eigenvalue {lo:.3e} below -{PSD_TOL:.0e}")
+
+    @classmethod
+    def _trusted(cls, op: HermitianOperator) -> "DensityMatrix":
+        """Density matrix by construction (a marginal of one), unchecked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "op", op)
+        return obj
 
     @property
     def layout(self) -> SubsystemLayout:
@@ -176,8 +224,10 @@ def kron(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     common = set(a.layout.labels) & set(b.layout.labels)
     if common:
         raise DuplicateLabel(f"labels {sorted(common)} appear on both operands")
-    layout = SubsystemLayout(a.layout.dims + b.layout.dims, a.layout.labels + b.layout.labels)
-    return HermitianOperator(layout, _kron(a.entries, b.entries))
+    layout = SubsystemLayout._trusted(
+        a.layout.dims + b.layout.dims, a.layout.labels + b.layout.labels
+    )
+    return HermitianOperator._trusted(layout, _kron(a.entries, b.entries))
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -207,8 +257,8 @@ def permute_subsystems(x: HermitianOperator, new_labels: Sequence[str]) -> Hermi
     if sorted(new_labels) != sorted(x.layout.labels):
         raise UnknownLabel(f"{new_labels} is not a permutation of {x.layout.labels}")
     perm = [x.layout.axis(lab) for lab in new_labels]
-    layout = SubsystemLayout(tuple(x.layout.dims[p] for p in perm), new_labels)
-    return HermitianOperator(layout, _permute(x.entries, x.layout.dims, perm))
+    layout = SubsystemLayout._trusted(tuple(x.layout.dims[p] for p in perm), new_labels)
+    return HermitianOperator._trusted(layout, _permute(x.entries, x.layout.dims, perm))
 
 
 def embed(x: HermitianOperator, full: SubsystemLayout) -> HermitianOperator:
@@ -223,30 +273,25 @@ def embed(x: HermitianOperator, full: SubsystemLayout) -> HermitianOperator:
     m = _kron(x.entries, np.eye(math.prod(rest)))
     labels = x.layout.labels + tuple(missing)
     perm = [labels.index(lab) for lab in full.labels]
-    return HermitianOperator(full, _permute(m, x.layout.dims + rest, perm))
+    return HermitianOperator._trusted(full, _permute(m, x.layout.dims + rest, perm))
 
 
 def partial_trace(x: HermitianOperator, keep: Iterable[str]) -> HermitianOperator:
     """Trace out every subsystem not in `keep`; kept factors stay in layout order."""
-    keep = set(keep)
-    for lab in keep:
-        x.layout.axis(lab)
-    n = x.layout.n_subsystems
+    layout = x.layout.restrict(keep)
     t = x.entries.reshape(x.layout.dims * 2)
     # trace axes from the back so earlier axis indices stay valid
-    for ax in reversed(range(n)):
-        if x.layout.labels[ax] not in keep:
-            cur = t.ndim // 2
-            t = t.trace(axis1=ax, axis2=cur + ax)
-    layout = x.layout.restrict(keep)
+    for ax in reversed(range(x.layout.n_subsystems)):
+        if x.layout.labels[ax] not in layout.labels:
+            t = t.trace(axis1=ax, axis2=t.ndim // 2 + ax)
     d = layout.total_dim
-    return HermitianOperator(layout, t.reshape(d, d))
+    return HermitianOperator._trusted(layout, t.reshape(d, d))
 
 
 def partial_transpose(x: HermitianOperator, sub: str) -> HermitianOperator:
     """Transpose the single factor `sub`."""
     ax = x.layout.axis(sub)
-    return HermitianOperator(x.layout, _partial_transpose(x.entries, x.layout.dims, ax))
+    return HermitianOperator._trusted(x.layout, _partial_transpose(x.entries, x.layout.dims, ax))
 
 
 def hermitian_eig(x: HermitianOperator) -> Spectrum:

@@ -148,7 +148,7 @@ def _inclusion_exclusion(
     for m in terms:
         sign = -1.0 if m.layout.n_subsystems % 2 else 1.0
         acc = acc + sign * embed(m, full).entries
-    return HermitianOperator(full, acc)
+    return HermitianOperator._trusted(full, acc)
 
 
 def _pointwise_inclusion_exclusion(
@@ -184,12 +184,17 @@ def hall_delta(marginals: Mapping[frozenset, DensityMatrix]) -> WitnessOperator:
 
 
 def marginals_of(rho: DensityMatrix) -> dict[frozenset, DensityMatrix]:
-    """All proper nonempty subset marginals of a joint state."""
+    """All proper nonempty subset marginals of a joint state.
+
+    Each is a density matrix by construction and is not re-checked: the
+    positivity tolerance of the joint state would otherwise be multiplied by
+    the traced-out dimension.
+    """
     labels = rho.layout.labels
     out: dict[frozenset, DensityMatrix] = {}
     for r in range(1, len(labels)):
         for combo in itertools.combinations(labels, r):
-            out[frozenset(combo)] = DensityMatrix(partial_trace(rho.op, set(combo)))
+            out[frozenset(combo)] = DensityMatrix._trusted(partial_trace(rho.op, set(combo)))
     return out
 
 

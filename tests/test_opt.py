@@ -66,6 +66,28 @@ class TestUnitVector:
     def test_dim_one(self):
         assert _unit_vector(np.array([]), 1)[0] == 1.0
 
+    def test_same_bits_as_numpy_scalar_math(self):
+        # The product search's path depends on every bit of the objective, so
+        # the Python-scalar construction must match numpy's scalar ufuncs.
+        def reference(params, dim):
+            v = np.zeros(dim, dtype=complex)
+            r = 1.0
+            for k in range(dim - 1):
+                phase = np.exp(1j * params[dim - 2 + k]) if k >= 1 else 1.0
+                v[k] = r * np.cos(params[k]) * phase
+                r *= np.sin(params[k])
+            v[dim - 1] = r * np.exp(1j * params[2 * dim - 3])
+            return v
+
+        rng = np.random.default_rng(22)
+        special = [0.0, -0.0, np.pi, -np.pi / 2, 1e-300, 40.0]
+        for d in (2, 3, 4, 5, 6):
+            for i in range(200):
+                x = rng.uniform(-np.pi, 2 * np.pi, 2 * (d - 1))
+                if i % 4 == 0:
+                    x = rng.choice(special, 2 * (d - 1))
+                assert _unit_vector(x, d).tobytes() == reference(x, d).tobytes()
+
 
 class TestPptMin:
     def test_identity_witness(self):

@@ -1,8 +1,11 @@
-"""Property-based tests of exact algebraic identities and the state-file format.
+"""Property-based tests of exact algebraic identities and the file formats.
 
 The Kronecker and embedding kernels are compared bit for bit with the
 np.kron formulas they stand in for, on layouts with local dimensions 1-4 and
-labels in no particular order.
+labels in no particular order. The operations that build their results
+without re-validation are checked to return exactly conjugate-symmetric
+matrices, the invariant that makes skipping the checks exact, while the
+public constructors still refuse malformed input.
 """
 
 from __future__ import annotations
@@ -12,13 +15,35 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qinflate.cli import load_state, save_state
-from qinflate.linalg import HermitianOperator, SubsystemLayout, embed, kron, partial_transpose
-from qinflate.states import Distribution, encode_distribution
-from qinflate.witness import cut_witness_classical, cut_witness_quantum
+from qinflate.dag import build_cut_inflation, build_triangle, format_dag, parse_dag
+from qinflate.errors import DimensionError, DuplicateLabel, InvalidParameter, NotHermitian
+from qinflate.linalg import (
+    DensityMatrix,
+    HermitianOperator,
+    SubsystemLayout,
+    embed,
+    kron,
+    partial_trace,
+    partial_transpose,
+    permute_subsystems,
+)
+from qinflate.states import (
+    Distribution,
+    encode_distribution,
+    random_density_matrix,
+    random_pure_state,
+)
+from qinflate.witness import (
+    cut_witness_classical,
+    cut_witness_quantum,
+    hall_delta,
+    marginals_of,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 LETTERS = "ABCDE"
@@ -106,13 +131,122 @@ def test_classical_witness_is_the_quantum_diagonal(dims, seed, cut):
     assert np.max(np.abs(diag - cut_witness_classical(p, cut))) <= 1e-12
 
 
+def _round_trip(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        save_state(obj, path)
+        return load_state(path)
+
+
 @SETTINGS
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), seeds)
 def test_distribution_file_round_trip(dims, seed):
     p = _random_distribution(tuple(dims), seed)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "p.json")
-        save_state(p, path)
-        back = load_state(path)
+    back = _round_trip(p)
     assert back.outcome_dims == p.outcome_dims
     assert np.array_equal(back.probs, p.probs)
+
+
+def _exactly_hermitian(x: HermitianOperator) -> bool:
+    m = x.entries
+    return m.shape == (x.side, x.side) and not m.flags.writeable and np.array_equal(m, m.conj().T)
+
+
+@SETTINGS
+@given(st.data(), seeds)
+def test_unchecked_results_are_exactly_hermitian(data, seed):
+    full = data.draw(layouts(min_factors=2, max_factors=4))
+    x = _random_hermitian(full, seed)
+    keep = data.draw(st.lists(st.sampled_from(full.labels), min_size=1, unique=True))
+    sub = SubsystemLayout(tuple(full.dim_of(lab) for lab in keep), tuple(keep))
+    cut = data.draw(st.integers(1, full.n_subsystems - 1))
+    a = _random_hermitian(SubsystemLayout(full.dims[:cut], full.labels[:cut]), seed + 1)
+    b = _random_hermitian(SubsystemLayout(full.dims[cut:], full.labels[cut:]), seed + 2)
+    y = _random_hermitian(full, seed + 3)
+    scalar = data.draw(st.floats(-1e3, 1e3, allow_nan=False))
+    results = [
+        partial_trace(x, keep),
+        partial_transpose(x, data.draw(st.sampled_from(full.labels))),
+        permute_subsystems(x, data.draw(st.permutations(full.labels))),
+        embed(_random_hermitian(sub, seed + 4), full),
+        kron(a, b),
+        x + y,
+        x - y,
+        x * scalar,
+        scalar * x,
+    ]
+    assert all(_exactly_hermitian(r) for r in results)
+
+
+@SETTINGS
+@given(st.tuples(*[st.integers(1, 4)] * 3), st.permutations("ABC"), seeds,
+       st.sampled_from(CUTS), st.booleans())
+def test_witnesses_are_exactly_hermitian(dims, labels, seed, cut, pure):
+    layout = SubsystemLayout(dims, tuple(labels))
+    rng = np.random.default_rng(seed)
+    rho = random_pure_state(layout, rng).to_density() if pure else random_density_matrix(layout, rng)
+    margs = marginals_of(rho)
+    assert all(_exactly_hermitian(m.op) for m in margs.values())
+    assert _exactly_hermitian(hall_delta(margs).op)
+    assert _exactly_hermitian(cut_witness_quantum(rho, cut).op)
+
+
+@SETTINGS
+@given(st.data(), seeds)
+def test_public_constructors_still_validate(data, seed):
+    layout = data.draw(layouts())
+    m = _random_hermitian(layout, seed).entries.copy()
+    d = layout.total_dim
+    i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    skewed = m.copy()
+    skewed[i, j] += 1j if i == j else 1.0
+    with pytest.raises(NotHermitian):
+        HermitianOperator(layout, skewed)
+    broken = m.copy()
+    broken[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(InvalidParameter, match="non-finite"):
+        HermitianOperator(layout, broken)
+    with pytest.raises(DimensionError):
+        HermitianOperator(layout, np.eye(d + 1))
+    with pytest.raises(DuplicateLabel):
+        SubsystemLayout(layout.dims + (2,), layout.labels + layout.labels[:1])
+    rho = random_density_matrix(layout, np.random.default_rng(seed))
+    with pytest.raises(InvalidParameter, match="trace"):
+        DensityMatrix(rho.op * 2.0)
+    if d > 1:
+        negative = np.diag([1 + 1e-3, -1e-3] + [0.0] * (d - 2))
+        with pytest.raises(InvalidParameter, match="minimum eigenvalue"):
+            DensityMatrix(HermitianOperator(layout, negative))
+
+
+@SETTINGS
+@given(st.data(), seeds)
+def test_pure_state_file_round_trip(data, seed):
+    psi = random_pure_state(data.draw(layouts()), np.random.default_rng(seed))
+    back = _round_trip(psi)
+    assert back.layout == psi.layout
+    assert np.array_equal(back.entries, psi.to_density().entries)
+
+
+@SETTINGS
+@given(st.data(), seeds)
+def test_mixed_state_file_round_trip(data, seed):
+    rho = random_density_matrix(data.draw(layouts()), np.random.default_rng(seed))
+    back = _round_trip(rho)
+    assert back.layout == rho.layout
+    assert np.array_equal(back.entries, rho.entries)
+
+
+def _dag_key(g):
+    return {(n.name, n.kind, n.base_name, n.copy_index) for n in g.nodes}, g.edges
+
+
+@SETTINGS
+@given(st.sampled_from([None, *CUTS[:3]]), st.randoms(use_true_random=False))
+def test_dag_text_round_trip(cut, shuffle):
+    g = build_triangle() if cut is None else build_cut_inflation(cut)
+    text = format_dag(g)
+    assert format_dag(parse_dag(text)) == text
+    lines = text.splitlines()
+    shuffle.shuffle(lines)
+    assert _dag_key(parse_dag("\n".join(lines))) == _dag_key(g)

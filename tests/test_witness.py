@@ -85,6 +85,22 @@ class TestHallDelta:
         assert d.layout.labels == labels
         assert d.min_eigenvalue() > -1e-10
 
+    def test_marginals_of_an_accepted_state(self):
+        # -0.9e-10 on |0bc>: the state passes the PSD check at -9e-11, yet its
+        # marginal on A sums four such entries to -3.6e-10, which the public
+        # check would refuse. Marginals of a density matrix are density
+        # matrices by construction and are not re-checked.
+        diag = np.array([-0.9e-10] * 4 + [(1 + 3.6e-10) / 4] * 4)
+        rho = DensityMatrix(HermitianOperator(QUBIT3, np.diag(diag)))
+        margs = marginals_of(rho)
+        m_a = margs[frozenset({"A"})]
+        assert m_a.entries[0, 0].real == pytest.approx(-3.6e-10)
+        with pytest.raises(InvalidParameter, match="minimum eigenvalue"):
+            DensityMatrix(m_a.op)
+        delta = hall_delta(margs)
+        assert delta.layout == QUBIT3
+        assert np.isfinite(delta.spectrum.eigenvalues).all()
+
     def test_even_cardinality_rejected(self):
         layout = SubsystemLayout((2, 2), ("A", "B"))
         rho = DensityMatrix(identity(layout) * 0.25)
