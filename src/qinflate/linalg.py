@@ -124,8 +124,9 @@ class HermitianOperator:
         dev = np.abs(m - h).max()
         if dev > HERMITICITY_TOL:
             raise NotHermitian(f"max deviation from conjugate transpose is {dev:.3e}")
-        # a fresh array, so the caller's input is never frozen or aliased
-        m = (m + h) / 2
+        # a fresh array, so the caller's input is never frozen or aliased;
+        # halving first keeps finite entries near the float maximum finite
+        m = m / 2 + h / 2
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 

@@ -7,6 +7,18 @@ subsystem (lower bound), solved by consensus-splitting ADMM. A strictly
 positive relaxation value proves that no local product-basis measurement can
 expose the incompatibility through the classical cut inequality.
 
+The ADMM keeps its four cone variables (plain PSD, then PSD under the
+partial transpose of each factor) and their scaled duals as one (4, d, d)
+stack. A partial transpose is an index permutation, so one precomputed
+gather maps the stack into the cones' frames and back, around a single
+batched eigendecomposition per iteration; every sum over the cones runs in
+cone order, so the result is the same, bit for bit, as projecting one cone
+at a time. A real witness (every tri-Bell one) is solved in real arithmetic:
+partial transposes keep real symmetric matrices real symmetric, and rho and
+its transpose are feasible with the same value. `SdpResult.certified_lower`
+is a weak-duality bound from the final duals: up to rounding, at most the
+relaxation's true minimum, whether or not the iteration converged.
+
 scipy is imported on the first product search (`product_min`, and through it
 `sweep_tri_bell`), not when this module is imported, so `import qinflate` and
 every other computation need numpy alone.
@@ -57,6 +69,7 @@ class SdpResult:
     dual_residual: float
     iterations: int
     converged: bool
+    certified_lower: float
 
 
 @dataclass(frozen=True)
@@ -69,9 +82,24 @@ class ProductSearchResult:
 
 
 def _psd_clip(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    """Hermitian part of m, or of each matrix of a stack, with negative
+    eigenvalues set to zero."""
+    vals, vecs = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
     vals = np.maximum(vals, 0.0)
-    return (vecs * vals) @ vecs.conj().T
+    return (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def _cone_gather_index(dims: tuple[int, ...]) -> np.ndarray:
+    """Flat indices into a (4, d, d) stack: entry k of the gather is T_k of row k.
+
+    T_0 is the identity and T_k, k >= 1, transposes factor k - 1. Each T_k is
+    an index permutation and an involution, so one gather maps the stack to
+    its images under the T_k and the same gather maps it back.
+    """
+    d = math.prod(dims)
+    flat = np.arange(d * d).reshape(d, d)
+    rows = [flat] + [_partial_transpose(flat, dims, ax) for ax in range(len(dims))]
+    return np.stack(rows) + d * d * np.arange(len(rows))[:, None, None]
 
 
 def ppt_min(w: WitnessOperator) -> SdpResult:
@@ -82,49 +110,58 @@ def ppt_min(w: WitnessOperator) -> SdpResult:
     partial transpose), each updated by eigenvalue clipping; the consensus
     variable absorbs the linear objective and the trace constraint. Stops
     when both residuals fall below 1e-7, or returns converged=False at the
-    iteration cap.
+    iteration cap. `certified_lower` is the dual bound built from the final
+    scaled duals, valid whether or not the solver converged.
     """
     layout = w.layout
     if layout.n_subsystems != 3 or layout.total_dim > 16:
         raise DomainError("relaxation covers three subsystems of total dimension <= 16")
     d = layout.total_dim
     wm = w.entries
-    dims = layout.dims
-    pt_axes = [None, 0, 1, 2]
-    n_cones = len(pt_axes)
+    if not wm.imag.any():
+        # A real witness keeps every iterate real: the partial transposes map
+        # real symmetric matrices to real symmetric ones, and rho and its
+        # transpose are both feasible with the same value.
+        wm = np.ascontiguousarray(wm.real)
+    gather = _cone_gather_index(layout.dims)
+    n_cones = len(gather)
     rho_pen = ADMM_PENALTY
 
-    def project(i: int, m: np.ndarray) -> np.ndarray:
-        ax = pt_axes[i]
-        if ax is None:
-            return _psd_clip(m)
-        return _partial_transpose(_psd_clip(_partial_transpose(m, dims, ax)), dims, ax)
+    def project(m: np.ndarray) -> np.ndarray:
+        """Row k of the stack clipped onto cone k: T_k(clip(T_k(m_k)))."""
+        return _psd_clip(m.take(gather)).take(gather)
 
-    z = np.eye(d, dtype=complex) / d
-    xs = [z.copy() for _ in range(n_cones)]
-    us = [np.zeros((d, d), dtype=complex) for _ in range(n_cones)]
+    eye = np.eye(d)
+    w_share = wm / (n_cones * rho_pen)
+    z = np.eye(d, dtype=wm.dtype) / d
+    us = np.zeros((n_cones, d, d), dtype=wm.dtype)
     primal = dual = np.inf
     it = 0
     for it in range(1, ADMM_MAX_ITER + 1):
-        xs = [project(i, z - us[i]) for i in range(n_cones)]
-        avg = sum(x + u for x, u in zip(xs, us)) / n_cones
-        h = avg - wm / (n_cones * rho_pen)
+        xs = project(z - us)
+        # the builtin sum adds the cones in order, as every reduction here does
+        avg = sum(xs + us) / n_cones
+        h = avg - w_share
         h = (h + h.conj().T) / 2
-        z_new = h - (np.trace(h).real - 1.0) / d * np.eye(d)
+        z_new = h - (np.trace(h).real - 1.0) / d * eye
         dual = rho_pen * np.sqrt(n_cones) * float(np.linalg.norm(z_new - z))
         z = z_new
-        us = [u + x - z for u, x in zip(us, xs)]
-        primal = float(np.sqrt(sum(np.linalg.norm(x - z) ** 2 for x in xs)))
+        us = us + xs - z
+        primal = float(np.sqrt(sum(np.linalg.norm(r) ** 2 for r in xs - z)))
         if max(primal, dual) < ADMM_TOL:
             break
     converged = max(primal, dual) < ADMM_TOL
+    # Weak duality: for PSD P_k and y = lambda_min(W - sum_k T_k(P_k)), every
+    # PPT state has Tr[rho W] >= y + sum_k Tr[T_k(rho) P_k] >= y. The scaled
+    # duals, clipped, are the P_k that make y tight at the optimum.
+    certified_lower = float(np.linalg.eigvalsh(wm - sum(project(rho_pen * us)))[0])
     # Feasible representative: clip the consensus point onto the PSD cone and
     # renormalize, so the reported value is reproducible from the minimizer.
     m = _psd_clip(z)
     m /= np.trace(m).real
     minimizer = DensityMatrix(HermitianOperator(layout, m))
     value = float(np.real(np.trace(m @ wm)))
-    return SdpResult(value, minimizer, primal, dual, it, converged)
+    return SdpResult(value, minimizer, primal, dual, it, converged, certified_lower)
 
 
 def _unit_vector(params: np.ndarray, dim: int) -> np.ndarray:

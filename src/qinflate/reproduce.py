@@ -43,6 +43,7 @@ from .states import (
     white_noise_mixture,
 )
 from .witness import (
+    _supp_ker_tests,
     cut_witness_classical,
     cut_witness_quantum,
     fidelity_witness,
@@ -302,8 +303,8 @@ def claim_ac10(rng: np.random.Generator) -> list[CheckRow]:
         cuts = (("A", "B"), ("A", "C"), ("B", "C"))
         if not any(verdict(cut_witness_quantum(rho, c)).witnessed for c in cuts):
             fwd_ok = False
-        for c in cuts:
-            if supp_ker_test(rho, c):
+        for c, fired in zip(cuts, _supp_ker_tests(rho, cuts)):
+            if fired:
                 fired_count += 1
                 if not verdict(cut_witness_quantum(rho, c)).witnessed:
                     sound_ok = False

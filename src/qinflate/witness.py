@@ -183,6 +183,14 @@ def hall_delta(marginals: Mapping[frozenset, DensityMatrix]) -> WitnessOperator:
     )
 
 
+def _joint_delta(rho: DensityMatrix) -> WitnessOperator:
+    """`hall_delta(marginals_of(rho))` for a three-party state, bit for bit,
+    without the equimarginal check: the marginals of one joint state agree by
+    construction."""
+    terms = [m.op for m in marginals_of(rho).values()]
+    return WitnessOperator(_inclusion_exclusion(terms, rho.layout.sorted()), "hall_delta")
+
+
 def marginals_of(rho: DensityMatrix) -> dict[frozenset, DensityMatrix]:
     """All proper nonempty subset marginals of a joint state.
 
@@ -335,19 +343,27 @@ def verdict(
 
 def supp_ker_test(rho: DensityMatrix, cut: tuple[str, str]) -> bool:
     """True iff supp(nu_minus (x) 1_z) meets ker(Delta of the marginals)."""
+    return _supp_ker_tests(rho, [cut])[0]
+
+
+def _supp_ker_tests(rho: DensityMatrix, cuts: Iterable[tuple[str, str]]) -> list[bool]:
+    """`supp_ker_test` on each cut; Delta does not depend on the cut, so its
+    kernel projector is built once, when a cut first needs it."""
     if rho.layout.n_subsystems != 3:
         raise DimensionError("support/kernel test needs exactly three subsystems")
-    x, y = cut
-    (z,) = [lab for lab in rho.layout.labels if lab not in (x, y)]
-    nu = nu_decomposition(rho, x, y)
     full = rho.layout.sorted()
-    nu_minus_full = embed(nu.nu_minus, full)
-    if nu_minus_full.trace() < 1e-12:
-        return False
-    p_nu, _ = support_kernel_projectors(nu_minus_full)
-    delta = hall_delta(marginals_of(rho))
-    _, p_ker = support_kernel_projectors(delta.op)
-    return subspace_intersects(p_nu, p_ker)
+    p_ker = None
+    out = []
+    for x, y in cuts:
+        nu_minus_full = embed(nu_decomposition(rho, x, y).nu_minus, full)
+        if nu_minus_full.trace() < 1e-12:
+            out.append(False)
+            continue
+        p_nu, _ = support_kernel_projectors(nu_minus_full)
+        if p_ker is None:
+            _, p_ker = support_kernel_projectors(_joint_delta(rho).op)
+        out.append(subspace_intersects(p_nu, p_ker))
+    return out
 
 
 def pure_delta_structure(psi: PureState) -> HermitianOperator:
@@ -367,7 +383,7 @@ def pure_delta_structure(psi: PureState) -> HermitianOperator:
     conj = np.outer(flipped, flipped.conj())
     out = HermitianOperator(psi.layout, conj)
     rho = psi.to_density()
-    delta = hall_delta(marginals_of(rho))
+    delta = _joint_delta(rho)
     delta_sorted = permute_subsystems(delta.op, psi.layout.labels)
     dev = np.max(np.abs(delta_sorted.entries - (rho.entries + conj)))
     if dev > 1e-9:

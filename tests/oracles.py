@@ -199,3 +199,53 @@ def cut_witness_oracle(
                 total += sign * marg[keep][fr, fc]
             out[r, c] = total
     return out
+
+
+def ppt_min_oracle(
+    wm: np.ndarray, dims: tuple[int, ...], penalty: float, tol: float, max_iter: int
+) -> tuple[float, np.ndarray, float, float, int]:
+    """PPT-relaxation minimum by consensus ADMM, one cone at a time.
+
+    The four cones (plain PSD, then PSD under the partial transpose of each
+    factor) are projected by separate eigendecompositions and every sum runs
+    over the cones in that order. Returns (value, minimizer, primal residual,
+    dual residual, iterations); the minimizer is the clipped, renormalised and
+    symmetrised consensus point.
+    """
+    d = wm.shape[0]
+    n = len(dims)
+
+    def pt(m: np.ndarray, ax: int) -> np.ndarray:
+        axes = list(range(2 * n))
+        axes[ax], axes[n + ax] = axes[n + ax], axes[ax]
+        return m.reshape(tuple(dims) * 2).transpose(axes).reshape(d, d)
+
+    def clip(m: np.ndarray) -> np.ndarray:
+        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+        vals = np.maximum(vals, 0.0)
+        return (vecs * vals) @ vecs.conj().T
+
+    def project(i: int, m: np.ndarray) -> np.ndarray:
+        return clip(m) if i == 0 else pt(clip(pt(m, i - 1)), i - 1)
+
+    n_cones = n + 1
+    z = np.eye(d, dtype=complex) / d
+    us = [np.zeros((d, d), dtype=complex) for _ in range(n_cones)]
+    primal = dual = np.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        xs = [project(i, z - us[i]) for i in range(n_cones)]
+        avg = sum(x + u for x, u in zip(xs, us)) / n_cones
+        h = avg - wm / (n_cones * penalty)
+        h = (h + h.conj().T) / 2
+        z_new = h - (np.trace(h).real - 1.0) / d * np.eye(d)
+        dual = penalty * np.sqrt(n_cones) * float(np.linalg.norm(z_new - z))
+        z = z_new
+        us = [u + x - z for u, x in zip(us, xs)]
+        primal = float(np.sqrt(sum(np.linalg.norm(x - z) ** 2 for x in xs)))
+        if max(primal, dual) < tol:
+            break
+    m = clip(z)
+    m /= np.trace(m).real
+    value = float(np.real(np.trace(m @ wm)))
+    return value, (m + m.conj().T) / 2, primal, dual, it

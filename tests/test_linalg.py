@@ -92,6 +92,12 @@ class TestHermitianOperator:
         with pytest.raises(InvalidParameter, match="non-finite"):
             HermitianOperator(QUBIT, m)
 
+    def test_entries_near_float_max_stay_finite(self):
+        m = np.eye(2) * 1e308
+        m[0, 1] = m[1, 0] = -1.7e308
+        x = HermitianOperator(QUBIT, m)
+        assert np.array_equal(x.entries, m.astype(complex))
+
     def test_arithmetic(self):
         x = random_hermitian(QUBIT3)
         y = random_hermitian(QUBIT3)

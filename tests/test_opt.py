@@ -27,8 +27,38 @@ from qinflate.opt import (
     product_min,
     sweep_tri_bell,
 )
-from qinflate.states import QUBIT3, ghz_state, tri_bell, w_state
+from qinflate.states import (
+    QUBIT3,
+    ghz_state,
+    random_density_matrix,
+    random_pure_state,
+    tri_bell,
+    w_state,
+)
 from qinflate.witness import WitnessOperator, cut_witness_quantum
+
+from oracles import ppt_min_oracle
+
+
+def _interior_point_witnesses() -> list[WitnessOperator]:
+    return [
+        cut_witness_quantum(ghz_state().to_density(), ("A", "B")),
+        cut_witness_quantum(w_state().to_density(), ("A", "C")),
+        cut_witness_quantum(tri_bell(3.0).to_density(), ("A", "B")),
+        cut_witness_quantum(tri_bell(2 / 0.19).to_density(), ("A", "B")),
+    ]
+
+
+def _random_witness(dims: tuple[int, ...], seed: int, pure: bool) -> WitnessOperator:
+    rng = np.random.default_rng([31, seed])
+    layout = SubsystemLayout(dims, ("A", "B", "C"))
+    rho = random_pure_state(layout, rng).to_density() if pure else random_density_matrix(layout, rng)
+    return cut_witness_quantum(rho, ("A", "C"))
+
+
+def _oracle(w: WitnessOperator):
+    return ppt_min_oracle(w.entries, w.layout.dims, opt.ADMM_PENALTY, opt.ADMM_TOL,
+                          opt.ADMM_MAX_ITER)
 
 
 def _cvxpy_ppt_min(w: WitnessOperator) -> float:
@@ -111,12 +141,7 @@ class TestPptMin:
 
     def test_matches_interior_point_solver(self):
         pytest.importorskip("cvxpy")
-        for w in (
-            cut_witness_quantum(ghz_state().to_density(), ("A", "B")),
-            cut_witness_quantum(w_state().to_density(), ("A", "C")),
-            cut_witness_quantum(tri_bell(3.0).to_density(), ("A", "B")),
-            cut_witness_quantum(tri_bell(2 / 0.19).to_density(), ("A", "B")),
-        ):
+        for w in _interior_point_witnesses():
             ref = _cvxpy_ppt_min(w)
             res = ppt_min(w)
             assert res.converged
@@ -137,6 +162,55 @@ class TestPptMin:
         w = WitnessOperator(identity(layout) * (1 / 27), "test")
         with pytest.raises(DomainError):
             ppt_min(w)
+
+    def test_certified_lower_brackets_value(self):
+        witnesses = _interior_point_witnesses() + [WitnessOperator(identity(QUBIT3), "test")]
+        for w in witnesses:
+            res = ppt_min(w)
+            assert res.converged
+            assert 0.0 <= res.value - res.certified_lower <= 1e-6
+
+    def test_certified_lower_bounds_separable_states(self):
+        # Product states are separable, hence PPT: the dual bound holds on
+        # each of them, and so on every mixture of them.
+        rng = np.random.default_rng(29)
+        for w in (_interior_point_witnesses()[2], _random_witness((2, 2, 4), 0, pure=True)):
+            lower = ppt_min(w).certified_lower
+            for _ in range(500):
+                vec = np.ones(1)
+                for d in w.layout.dims:
+                    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                    vec = np.kron(vec, v / np.linalg.norm(v))
+                assert float(np.real(vec.conj() @ w.entries @ vec)) >= lower
+
+
+class TestPptMinMatchesPerConeLoop:
+    """The stacked solver against the loop that projects one cone at a time."""
+
+    @pytest.mark.parametrize("dims, seed, pure", [
+        ((2, 2, 2), 0, True), ((2, 2, 2), 0, False),
+        ((2, 2, 2), 1, True), ((2, 2, 2), 1, False),
+        ((2, 2, 4), 3, True),
+    ])
+    def test_complex_witness_bit_for_bit(self, dims, seed, pure):
+        w = _random_witness(dims, seed, pure)
+        assert w.entries.imag.any()
+        value, minimizer, primal, dual, iterations = _oracle(w)
+        res = ppt_min(w)
+        assert res.value == value
+        assert res.iterations == iterations
+        assert res.primal_residual == primal
+        assert res.dual_residual == dual
+        assert np.array_equal(res.minimizer.entries, minimizer)
+
+    @pytest.mark.parametrize("amplitude", [0.62, 0.75, 0.82, 0.93])
+    def test_real_tri_bell_witness(self, amplitude):
+        w = opt._tri_bell_witness(amplitude)
+        assert not w.entries.imag.any()
+        value, _, _, _, iterations = _oracle(w)
+        res = ppt_min(w)
+        assert res.iterations == iterations
+        assert res.value == pytest.approx(value, abs=1e-12)
 
 
 class TestProductMin:
