@@ -23,7 +23,6 @@ from .reproduce import CLAIMS, run_all, run_claim
 from .states import (
     Distribution,
     PureState,
-    encode_distribution,
     ghz_distn,
     ghz_state,
     omega_example,

@@ -216,10 +216,6 @@ class Spectrum:
         return (u * self.eigenvalues) @ u.conj().T
 
 
-def identity(layout: SubsystemLayout) -> HermitianOperator:
-    return HermitianOperator(layout, np.eye(layout.total_dim))
-
-
 def kron(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """Kronecker product; the result layout concatenates the operand layouts."""
     common = set(a.layout.labels) & set(b.layout.labels)
@@ -325,11 +321,6 @@ def support_kernel_projectors(
         HermitianOperator(x.layout, p_supp),
         HermitianOperator(x.layout, p_ker),
     )
-
-
-def projector_rank(p: HermitianOperator) -> int:
-    """Rank of a projector, read off the trace."""
-    return int(round(p.trace()))
 
 
 def _check_projector(p: HermitianOperator) -> None:

@@ -248,8 +248,7 @@ class SweepRow:
 
 
 def _tri_bell_witness(a: float) -> WitnessOperator:
-    t = tri_bell_t_from_amplitude(a)
-    return cut_witness_quantum(tri_bell(max(t, 3.0)).to_density(), ("A", "B"))
+    return cut_witness_quantum(tri_bell(tri_bell_t_from_amplitude(a)).to_density(), ("A", "B"))
 
 
 def sweep_tri_bell(
@@ -264,8 +263,6 @@ def sweep_tri_bell(
     rows = []
     for a in grid:
         a = float(a)
-        if not (1 / np.sqrt(3) - 1e-9 <= a < 1):
-            raise DomainError(f"amplitude {a} outside [1/sqrt(3), 1)")
         w = _tri_bell_witness(a)
         sdp = ppt_min(w)
         prod = product_min(w, restarts, rng)

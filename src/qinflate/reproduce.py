@@ -20,13 +20,14 @@ from .dag import (
     is_nonfanout,
     marginal_independent_pairs,
 )
+from .errors import QInflateError
 from .linalg import (
     SubsystemLayout,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
 )
-from .opt import iota_tilde_crossing, ppt_min, product_min, sweep_tri_bell
+from .opt import iota_tilde_crossing, ppt_min, sweep_tri_bell
 from .states import (
     LocalBasis,
     ghz_distn,
@@ -43,12 +44,12 @@ from .states import (
     white_noise_mixture,
 )
 from .witness import (
+    QUTRIT_MIXED_REFERENCE,
+    _joint_delta,
     _supp_ker_tests,
     cut_witness_classical,
     cut_witness_quantum,
     fidelity_witness,
-    hall_delta,
-    marginals_of,
     schmidt224_entry,
     pure_delta_structure,
     qutrit_witnesses,
@@ -205,8 +206,6 @@ def claim_ac6(rng: np.random.Generator) -> list[CheckRow]:
 def claim_ac7(rng: np.random.Generator) -> list[CheckRow]:
     rows = []
     dev = 0.0
-    from .witness import QUTRIT_MIXED_REFERENCE
-
     for p0 in np.linspace(0.0, 1.0, 5):
         for p1 in np.linspace(0.0, 1.0 - p0, 5):
             rep = qutrit_witnesses(p0, p1)
@@ -271,7 +270,7 @@ def claim_ac10(rng: np.random.Generator) -> list[CheckRow]:
         dims = tuple(int(d) for d in rng.integers(2, 4, size=3))
         lay = SubsystemLayout(dims, ("A", "B", "C"))
         rho = random_density_matrix(lay, rng)
-        worst = min(worst, hall_delta(marginals_of(rho)).min_eigenvalue())
+        worst = min(worst, _joint_delta(rho).min_eigenvalue())
     rows.append(_bool_row("joint-marginal operator PSD over 1000 states", worst >= -1e-9))
 
     # Correlated pair marginals always have a negative difference eigenvalue.
@@ -314,14 +313,16 @@ def claim_ac10(rng: np.random.Generator) -> list[CheckRow]:
                           any(supp_ker_test(ghz_state().to_density(), c)
                               for c in (("A", "B"), ("A", "C"), ("B", "C")))))
 
-    # Antiunitary structure of Delta for pure states.
+    # Antiunitary structure of Delta for pure states: Delta = rho + the
+    # spin-flip conjugate of rho (lay2 is in Delta's sorted label order).
     structure_ok = True
     for _ in range(500):
         psi = random_pure_state(lay2, rng)
-        pure_delta_structure(psi)  # raises on identity failure
-        delta = hall_delta(marginals_of(psi.to_density()))
+        rho = psi.to_density()
+        delta = _joint_delta(rho)
         rank = int(np.sum(np.abs(delta.spectrum.eigenvalues) > 1e-8))
-        if rank > 2:
+        dev = np.max(np.abs(delta.entries - (rho.entries + pure_delta_structure(psi).entries)))
+        if rank > 2 or dev > 1e-9:
             structure_ok = False
     rows.append(_bool_row("rank <= 2 and antiunitary identity (500 pure states)", structure_ok))
     return rows
@@ -377,11 +378,18 @@ CLAIMS: dict[str, tuple[str, Callable[[np.random.Generator], list[CheckRow]]]] =
 
 
 def run_claim(claim_id: str, rng: Optional[np.random.Generator] = None) -> ClaimResult:
-    """Recompute one claim; raises KeyError for unknown ids."""
+    """Recompute one claim; raises KeyError for unknown ids.
+
+    A claim that raises a QInflateError fails with one row naming the error.
+    """
     description, fn = CLAIMS[claim_id]
     if rng is None:
         rng = np.random.default_rng(0)
-    return ClaimResult(claim_id, description, tuple(fn(rng)))
+    try:
+        rows = tuple(fn(rng))
+    except QInflateError as exc:
+        rows = (_bool_row(f"raised {type(exc).__name__}: {exc}", False),)
+    return ClaimResult(claim_id, description, rows)
 
 
 def run_all(seed: int = 0) -> list[ClaimResult]:

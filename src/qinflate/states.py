@@ -70,7 +70,8 @@ class PureState:
         return HermitianOperator(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def to_density(self) -> DensityMatrix:
-        return DensityMatrix(self.projector())
+        # a unit vector's projector is a state; its trace is the validated norm squared
+        return DensityMatrix._trusted(self.projector())
 
 
 @dataclass(frozen=True)
@@ -199,11 +200,13 @@ def tri_bell(t: float) -> PureState:
 
 
 def tri_bell_t_from_amplitude(a: float) -> float:
-    """Invert a = sqrt((t-2)/t) to t = 2/(1-a^2)."""
+    """Invert a = sqrt((t-2)/t) to t = 2/(1-a^2), for a in [1/sqrt(3), 1)."""
     a = float(a)
     if not (1 / np.sqrt(3) - 1e-12 <= a < 1):
         raise DomainError(f"amplitude {a} outside [1/sqrt(3), 1)")
-    return 2.0 / (1.0 - a * a)
+    # at and just below 1/sqrt(3), rounding can give t a few ulps under 3,
+    # which `tri_bell` would refuse
+    return max(2.0 / (1.0 - a * a), 3.0)
 
 
 def omega_example() -> DensityMatrix:
@@ -245,12 +248,8 @@ def toth_acin_operator(c: float) -> HermitianOperator:
 
 
 def toth_acin(c: float) -> DensityMatrix:
-    """Pauli-diagonal three-qubit family; validates PSD-ness numerically."""
-    op = toth_acin_operator(c)
-    lo = float(np.linalg.eigvalsh(op.entries)[0])
-    if lo < -1e-10:
-        raise InvalidParameter(f"c={c} gives a non-PSD operator (min eigenvalue {lo:.3e})")
-    return DensityMatrix(op)
+    """Pauli-diagonal three-qubit family; raises where it is not PSD."""
+    return DensityMatrix(toth_acin_operator(c))
 
 
 def _qutrit_component(i: int) -> np.ndarray:
@@ -311,16 +310,6 @@ _SCHMIDT224_KETS = (
     (1, 1, 2),  # alpha_6
     (1, 1, 3),  # alpha_7
 )
-_SCHMIDT224_FORBIDDEN = {
-    (0, 0, 1): "zero-pattern (condition 1)",
-    (0, 1, 0): "zero-pattern (condition 1)",
-    (1, 0, 0): "zero-pattern (condition 1)",
-    (0, 0, 2): "zero-pattern (condition 1)",
-    (0, 0, 3): "zero-pattern (condition 1)",
-    (0, 1, 2): "forbidden index (1,2,3) in B0 (condition 3)",
-    (0, 1, 3): "forbidden index (1,2,4) in B0 (condition 3)",
-    (1, 0, 3): "forbidden index (2,1,4) in B0 (condition 3)",
-}
 
 
 def _ket_index(ket: tuple[int, int, int]) -> int:
@@ -355,32 +344,6 @@ def schmidt224(
     for l, ket in enumerate(_SCHMIDT224_KETS):
         v[_ket_index(ket)] = al[l] * phases.get(l, 1.0)
     return PureState(QQQ4, v)
-
-
-def validate_schmidt224_amplitudes(amplitudes: Sequence[complex]) -> None:
-    """Check a full 16-entry amplitude vector against the canonical-form constraints.
-
-    Raises ConstraintViolated naming the violated condition.
-    """
-    v = np.array(amplitudes, dtype=complex).reshape(-1)
-    if v.shape != (16,):
-        raise DimensionError(f"expected 16 amplitudes, got {v.shape[0]}")
-    for ket, reason in _SCHMIDT224_FORBIDDEN.items():
-        if abs(v[_ket_index(ket)]) > 1e-12:
-            raise ConstraintViolated(f"amplitude at ket {ket} must vanish: {reason}")
-    for l, ket in enumerate(_SCHMIDT224_KETS):
-        if l in (0, 3):
-            continue
-        amp = v[_ket_index(ket)]
-        if abs(amp.imag) > 1e-12 or amp.real < -1e-12:
-            raise ConstraintViolated(
-                f"amplitude at ket {ket} must be real nonnegative (condition 4)"
-            )
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ConstraintViolated(f"norm is {norm!r}, expected 1")
-    if abs(v[_ket_index((0, 0, 0))]) < abs(v[_ket_index((1, 1, 1))]) - 1e-12:
-        raise ConstraintViolated("ordering |alpha_0| >= |alpha_5| (condition 5)")
 
 
 def measure_local(rho: DensityMatrix, bases: LocalBasis) -> Distribution:

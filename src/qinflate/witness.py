@@ -48,7 +48,6 @@ from .states import (
     nu_decomposition,
     qutrit_pair,
     schmidt224,
-    tri_bell,
     w_state,
 )
 
@@ -111,19 +110,6 @@ class Verdict:
         return self.status == "witnessed_incompatible"
 
 
-def _full_layout_from_marginals(
-    marginals: Mapping[frozenset, DensityMatrix]
-) -> SubsystemLayout:
-    labels = sorted(set().union(*(set(k) for k in marginals if k)))
-    dims = []
-    for lab in labels:
-        key = frozenset({lab})
-        if key not in marginals:
-            raise MissingMarginal(f"missing singleton marginal for {lab!r}")
-        dims.append(marginals[key].layout.total_dim)
-    return SubsystemLayout(tuple(dims), tuple(labels))
-
-
 def _check_equimarginal(marginals: Mapping[frozenset, DensityMatrix]) -> None:
     for key, rho in marginals.items():
         for lab in key:
@@ -169,14 +155,16 @@ def hall_delta(marginals: Mapping[frozenset, DensityMatrix]) -> WitnessOperator:
     marginals come from a single joint state on an odd number of nodes.
     """
     marginals = {frozenset(k): v for k, v in marginals.items() if k}
-    full = _full_layout_from_marginals(marginals)
-    n = full.n_subsystems
+    labels = sorted(set().union(*marginals))
+    n = len(labels)
     if n % 2 == 0:
         raise OddCardinalityRequired(f"need an odd number of nodes, got {n}")
     for r in range(1, n):
-        for combo in itertools.combinations(full.labels, r):
+        for combo in itertools.combinations(labels, r):
             if frozenset(combo) not in marginals:
                 raise MissingMarginal(f"missing marginal for {combo}")
+    dims = tuple(marginals[frozenset({lab})].layout.total_dim for lab in labels)
+    full = SubsystemLayout(dims, tuple(labels))
     _check_equimarginal(marginals)
     return WitnessOperator(
         _inclusion_exclusion([rho.op for rho in marginals.values()], full), "hall_delta"
@@ -226,16 +214,11 @@ def classical_delta(
     keys = [frozenset(k) for k in marginals if k]
     n = max(max(k) for k in keys) + 1
     margs = _dist_marginal_axes(marginals, n)
-    dims = [0] * n
-    for i in range(n):
-        key = frozenset({i})
-        if key not in margs:
-            raise MissingMarginal(f"missing singleton marginal for variable {i}")
-        dims[i] = margs[key].outcome_dims[0]
     for r in range(1, n):
         for combo in itertools.combinations(range(n), r):
             if frozenset(combo) not in margs:
                 raise MissingMarginal(f"missing marginal for variables {combo}")
+    dims = [margs[frozenset({i})].outcome_dims[0] for i in range(n)]
     # equimarginal consistency between pairs and singletons
     for key, d in margs.items():
         for i in key:
@@ -370,8 +353,8 @@ def pure_delta_structure(psi: PureState) -> HermitianOperator:
     """Conjugate of a pure three-qubit projector by the spin-flip antiunitary.
 
     The antiunitary sends sum a_ijk |ijk> to sum (-1)^(i+j+k) conj(a_ijk)
-    |i' j' k'> with flipped bits. The returned operator satisfies
-    Delta(marginals of rho) = rho + result, which is checked here.
+    |i' j' k'> with flipped bits. Delta(marginals of rho) = rho + result is
+    the identity claim AC-10 checks.
     """
     if psi.layout.dims != (2, 2, 2):
         raise DimensionError("antiunitary decomposition is defined for three qubits")
@@ -380,15 +363,7 @@ def pure_delta_structure(psi: PureState) -> HermitianOperator:
     for idx in range(8):
         parity = bin(idx).count("1") % 2
         flipped[idx ^ 7] = (-1.0) ** parity * np.conj(a[idx])
-    conj = np.outer(flipped, flipped.conj())
-    out = HermitianOperator(psi.layout, conj)
-    rho = psi.to_density()
-    delta = _joint_delta(rho)
-    delta_sorted = permute_subsystems(delta.op, psi.layout.labels)
-    dev = np.max(np.abs(delta_sorted.entries - (rho.entries + conj)))
-    if dev > 1e-9:
-        raise InvalidParameter(f"antiunitary decomposition deviates by {dev:.3e}")
-    return out
+    return HermitianOperator(psi.layout, np.outer(flipped, flipped.conj()))
 
 
 GHZ_FIDELITY_THRESHOLD = (1 + np.sqrt(3)) / 4
@@ -458,22 +433,16 @@ def schmidt224_entry(
     alpha7: float,
     phi0: float = 0.0,
 ) -> float:
-    """<010| I_AC |010> for the qubit-qubit-ququart family, equal to
-    -alpha0^2 (1 - alpha0^2 - alpha4^2); cross-checked against the assembled
-    witness."""
+    """<010| I_AC |010> for the qubit-qubit-ququart family, read off the
+    assembled witness; claim AC-8 checks it against the closed form
+    -alpha0^2 (1 - alpha0^2 - alpha4^2)."""
     psi = schmidt224(
         (alpha0, 0.0, 0.0, 0.0, alpha4, alpha5, alpha6, alpha7),
         phi0=phi0,
         enforce_ordering=False,
     )
     w = cut_witness_quantum(psi.to_density(), ("A", "C"))
-    entry = float(np.real(w.entries[4, 4]))  # |010> in the (2,2,4) product basis
-    closed = -(alpha0**2) * (1 - alpha0**2 - alpha4**2)
-    if abs(entry - closed) > 1e-9:
-        raise InvalidParameter(
-            f"assembled entry {entry!r} deviates from closed form {closed!r}"
-        )
-    return entry
+    return float(np.real(w.entries[4, 4]))  # |010> in the (2,2,4) product basis
 
 
 def werner_ghz_eigs(p: float) -> np.ndarray:
@@ -539,31 +508,24 @@ class QutritReport:
 
     pure_spectra: dict[str, np.ndarray]
     mixed_spectra: dict[str, np.ndarray]
-    mixed_matches_reference: bool
     pure_verdicts: dict[str, Verdict]
 
 
 def qutrit_witnesses(p0: float, p1: float) -> QutritReport:
     """Spectra of all three cut witnesses for the qutrit pair at (p0, p1).
 
-    The mixed-state spectra are independent of the weights; deviation from
-    the reference spectrum beyond 1e-9 raises.
+    The mixed-state spectra are independent of the weights and equal
+    `QUTRIT_MIXED_REFERENCE`; claim AC-7 checks this at 1e-9.
     """
     pure, mixed = qutrit_pair(p0, p1)
     cuts = {"AB": ("A", "B"), "AC": ("A", "C"), "BC": ("B", "C")}
     pure_spec: dict[str, np.ndarray] = {}
     mixed_spec: dict[str, np.ndarray] = {}
     verdicts: dict[str, Verdict] = {}
-    ok = True
     rho_pure = pure.to_density()
     for name, cut in cuts.items():
         wp = cut_witness_quantum(rho_pure, cut)
-        wm = cut_witness_quantum(mixed, cut)
         pure_spec[name] = wp.spectrum.eigenvalues
-        mixed_spec[name] = wm.spectrum.eigenvalues
+        mixed_spec[name] = cut_witness_quantum(mixed, cut).spectrum.eigenvalues
         verdicts[name] = verdict(wp)
-        if np.max(np.abs(mixed_spec[name] - QUTRIT_MIXED_REFERENCE)) > 1e-9:
-            ok = False
-    if not ok:
-        raise InvalidParameter("mixed-state spectrum deviates from the reference")
-    return QutritReport(pure_spec, mixed_spec, ok, verdicts)
+    return QutritReport(pure_spec, mixed_spec, verdicts)

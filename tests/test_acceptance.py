@@ -9,7 +9,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qinflate import witness
+from qinflate.linalg import DensityMatrix, HermitianOperator
 from qinflate.reproduce import CLAIMS, run_claim
+from qinflate.states import QUTRIT3, qutrit_pair
+from qinflate.witness import WitnessOperator
 
 
 def _check(claim_id: str) -> None:
@@ -27,3 +31,40 @@ def _check(claim_id: str) -> None:
 @pytest.mark.parametrize("claim_id", list(CLAIMS), ids=list(CLAIMS))
 def test_acceptance(claim_id: str) -> None:
     _check(claim_id)
+
+
+# The identities behind AC-7 and AC-8 are checked by the claims alone; a
+# fault in them must turn the claim's own row to FAIL, not raise.
+
+
+def test_broken_qutrit_mixture_fails_ac7(monkeypatch):
+    pure, _ = qutrit_pair(0.5, 0.25)
+    maximally_mixed = DensityMatrix(HermitianOperator(QUTRIT3, np.eye(27) / 27))
+    monkeypatch.setattr(witness, "qutrit_pair", lambda p0, p1: (pure, maximally_mixed))
+    rows = {r.name: r.passed for r in run_claim("AC-7", np.random.default_rng(0)).rows}
+    assert rows == {
+        "mixed spectra deviation over 5x5 grid": False,
+        "pure-state eigenvalue at p0=2p1=0.5": True,
+    }
+
+
+def test_broken_schmidt224_entry_fails_ac8(monkeypatch):
+    real = witness.cut_witness_quantum
+
+    def shifted(rho, cut):
+        w = real(rho, cut)
+        return WitnessOperator(HermitianOperator(w.layout, w.entries + 1e-6 * np.eye(16)), w.kind)
+
+    monkeypatch.setattr(witness, "cut_witness_quantum", shifted)
+    (row,) = run_claim("AC-8", np.random.default_rng(0)).rows
+    assert row.name == "closed form vs assembled over 100 draws"
+    assert not row.passed
+
+
+def test_only_qinflate_errors_become_rows(monkeypatch):
+    def broken(rng):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setitem(CLAIMS, "AC-X", ("raises", broken))
+    with pytest.raises(ZeroDivisionError):
+        run_claim("AC-X")

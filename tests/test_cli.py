@@ -270,6 +270,21 @@ class TestReproduceCommand:
         assert main(["reproduce", "AC-99"]) == 1
         assert "unknown claim" in capsys.readouterr().err
 
+    def test_raising_claim_does_not_blank_the_report(self, monkeypatch, capsys):
+        from qinflate import reproduce
+        from qinflate.errors import DomainError
+
+        def no_crossing(rng):
+            raise DomainError("no sign change on [0.7, 0.95]")
+
+        claims = {"AC-1": reproduce.CLAIMS["AC-1"], "AC-X": ("raises", no_crossing)}
+        monkeypatch.setattr(reproduce, "CLAIMS", claims)
+        assert main(["reproduce"]) == 1
+        out = capsys.readouterr().out
+        assert "AC-1 [PASS]" in out
+        assert "AC-X [FAIL] raises" in out
+        assert "FAIL raised DomainError: no sign change on [0.7, 0.95]" in out
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QINFLATE_SEED", "5")
         from qinflate.cli import build_parser

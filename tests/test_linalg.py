@@ -20,13 +20,11 @@ from qinflate.linalg import (
     SubsystemLayout,
     embed,
     hermitian_eig,
-    identity,
     kron,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
     permute_subsystems,
-    projector_rank,
     subspace_intersects,
     support_kernel_projectors,
 )
@@ -108,7 +106,7 @@ class TestHermitianOperator:
 
 class TestKron:
     def test_identity_case(self):
-        out = kron(identity(QUBIT), identity(QUBIT_B))
+        out = kron(HermitianOperator(QUBIT, np.eye(2)), HermitianOperator(QUBIT_B, np.eye(2)))
         np.testing.assert_allclose(out.entries, np.eye(4))
 
     def test_basis_projectors(self):
@@ -127,7 +125,7 @@ class TestKron:
 
     def test_label_collision(self):
         with pytest.raises(DuplicateLabel):
-            kron(identity(QUBIT), identity(QUBIT))
+            kron(HermitianOperator(QUBIT, np.eye(2)), HermitianOperator(QUBIT, np.eye(2)))
 
     def test_trace_projection_property(self):
         a = random_hermitian(QUBIT)
@@ -243,8 +241,8 @@ class TestSupportKernel:
             vs = RNG.standard_normal((8, k)) + 1j * RNG.standard_normal((8, k))
             m = vs @ vs.conj().T
             supp, ker = support_kernel_projectors(HermitianOperator(lay, m))
-            assert projector_rank(supp) == k
-            assert projector_rank(ker) == 8 - k
+            assert round(supp.trace()) == k
+            assert round(ker.trace()) == 8 - k
             np.testing.assert_allclose(
                 supp.entries + ker.entries, np.eye(8), atol=1e-9
             )
@@ -313,7 +311,7 @@ class TestPositivityProperties:
             lay = SubsystemLayout((2,) * n, labels)
             for _ in range(20):
                 rho = random_density_matrix(lay, rng)
-                acc = identity(lay)
+                acc = HermitianOperator(lay, np.eye(lay.total_dim))
                 for r in range(1, n + 1):
                     for combo in itertools.combinations(labels, r):
                         sign = -1.0 if r % 2 else 1.0

@@ -17,7 +17,6 @@ from qinflate.linalg import (
     DensityMatrix,
     HermitianOperator,
     SubsystemLayout,
-    identity,
     partial_transpose,
 )
 from qinflate.opt import (
@@ -121,7 +120,7 @@ class TestUnitVector:
 
 class TestPptMin:
     def test_identity_witness(self):
-        w = WitnessOperator(identity(QUBIT3), "test")
+        w = WitnessOperator(HermitianOperator(QUBIT3, np.eye(8)), "test")
         res = ppt_min(w)
         assert res.converged
         assert res.value == pytest.approx(1.0, abs=1e-6)
@@ -159,12 +158,13 @@ class TestPptMin:
 
     def test_rejects_large_systems(self):
         layout = SubsystemLayout((3, 3, 3), ("A", "B", "C"))
-        w = WitnessOperator(identity(layout) * (1 / 27), "test")
+        w = WitnessOperator(HermitianOperator(layout, np.eye(27) / 27), "test")
         with pytest.raises(DomainError):
             ppt_min(w)
 
     def test_certified_lower_brackets_value(self):
-        witnesses = _interior_point_witnesses() + [WitnessOperator(identity(QUBIT3), "test")]
+        identity = WitnessOperator(HermitianOperator(QUBIT3, np.eye(8)), "test")
+        witnesses = _interior_point_witnesses() + [identity]
         for w in witnesses:
             res = ppt_min(w)
             assert res.converged
@@ -216,7 +216,7 @@ class TestPptMinMatchesPerConeLoop:
 class TestProductMin:
     def test_identity_witness(self):
         rng = np.random.default_rng(22)
-        w = WitnessOperator(identity(QUBIT3), "test")
+        w = WitnessOperator(HermitianOperator(QUBIT3, np.eye(8)), "test")
         res = product_min(w, restarts=4, rng=rng)
         assert res.value == pytest.approx(1.0, abs=1e-8)
 
@@ -294,10 +294,16 @@ class TestSweep:
         assert rows[0].iota_tilde < 0 < rows[1].iota_tilde
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            sweep_tri_bell([0.5], restarts=1)
-        with pytest.raises(DomainError):
-            sweep_tri_bell([1.0], restarts=1)
+        for a in (1 / np.sqrt(3) - 1e-10, 0.5, 1.0):
+            with pytest.raises(DomainError):
+                sweep_tri_bell([a], restarts=1)
+
+    @pytest.mark.parametrize("a", [np.sqrt(1 / 3), 1 / np.sqrt(3), 1 / np.sqrt(3) - 5e-13])
+    def test_lower_edge_sweeps(self, a):
+        # np.sqrt(1 / 3) is one ulp below 1 / np.sqrt(3): t rounds below 3
+        (row,) = sweep_tri_bell([a], restarts=1, rng=np.random.default_rng(0))
+        assert row.amplitude == a
+        assert row.min_eig <= row.iota_tilde + 1e-6 <= row.iota_upper + 2e-6
 
     def test_deterministic_given_seed(self):
         grid = [0.8]

@@ -32,7 +32,6 @@ from qinflate.states import (
     toth_acin_operator,
     tri_bell,
     tri_bell_t_from_amplitude,
-    validate_schmidt224_amplitudes,
     w_distn,
     w_state,
     white_noise_mixture,
@@ -60,6 +59,14 @@ class TestNamedStates:
     def test_norms(self):
         assert np.linalg.norm(ghz_state().amplitudes) == pytest.approx(1.0)
         assert np.linalg.norm(w_state().amplitudes) == pytest.approx(1.0)
+
+    def test_density_of_any_accepted_vector(self):
+        # a norm inside the tolerance gives a trace just outside it; the
+        # vector was validated, so its projector is not checked again
+        v = np.zeros(8, dtype=complex)
+        v[0] = 1 + 0.9e-10
+        psi = PureState(QUBIT3, v)
+        assert np.array_equal(psi.to_density().entries, psi.projector().entries)
 
     def test_distributions(self):
         g = ghz_distn()
@@ -118,6 +125,13 @@ class TestTriBell:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             tri_bell(2.5)
+
+    def test_amplitude_range(self):
+        for a in (np.sqrt(1 / 3), 1 / np.sqrt(3), 1 / np.sqrt(3) - 5e-13):
+            assert tri_bell_t_from_amplitude(a) >= 3
+        for a in (1 / np.sqrt(3) - 1e-10, 0.5, 1.0, np.nan):
+            with pytest.raises(DomainError):
+                tri_bell_t_from_amplitude(a)
 
 
 class TestOmega:
@@ -225,14 +239,10 @@ class TestSchmidt224:
     def test_restricted_family_accepted(self):
         al = np.sqrt(np.array([0.4, 0, 0, 0, 0.3, 0.2, 0.05, 0.05]))
         psi = schmidt224(al, phi0=0.3, phi1=0.0)
-        validate_schmidt224_amplitudes(psi.amplitudes)
-
-    def test_forbidden_pattern_rejected(self):
-        v = np.zeros(16, dtype=complex)
-        v[0] = np.sqrt(0.5)
-        v[6] = np.sqrt(0.5)  # ket (0,1,2), a forbidden index
-        with pytest.raises(ConstraintViolated):
-            validate_schmidt224_amplitudes(v)
+        want = np.zeros(16, dtype=complex)
+        want[[0, 12, 13, 14, 15]] = al[[0, 4, 5, 6, 7]]  # kets 000, 110, 111, 112, 113
+        want[0] *= np.exp(0.3j)
+        np.testing.assert_allclose(psi.amplitudes, want, atol=1e-15)
 
     def test_ordering_constraint(self):
         with pytest.raises(ConstraintViolated):
