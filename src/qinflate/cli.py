@@ -80,20 +80,37 @@ FAMILIES = {
 }
 
 
+def _is_finite_number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 def load_state(path: str) -> Union[DensityMatrix, Distribution]:
     """Parse a JSON state file into a density matrix or a distribution."""
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise QInflateError("a state file must hold a JSON object")
     for key in ("kind", "data"):
         if key not in obj:
             raise QInflateError(f"state file is missing the {key!r} field")
-    kind = obj["kind"]
+    kind, data = obj["kind"], obj["data"]
     if kind == "family":
-        name = obj["data"].get("family_name")
-        if name not in FAMILIES:
+        if not isinstance(data, dict):
+            raise QInflateError("family 'data' must be an object")
+        name = data.get("family_name")
+        if not isinstance(name, str) or name not in FAMILIES:
             raise QInflateError(f"unknown family {name!r}; known: {sorted(FAMILIES)}")
+        params = data.get("params", {})
+        if not isinstance(params, dict) or not all(
+            _is_finite_number(v)
+            or k == "alphas" and isinstance(v, list) and all(map(_is_finite_number, v))
+            for k, v in params.items()
+        ):
+            raise QInflateError(
+                "family 'params' must map each name to a finite number ('alphas' to a list of them)"
+            )
         try:
-            return FAMILIES[name](obj["data"].get("params", {}))
+            return FAMILIES[name](params)
         except KeyError as exc:
             raise QInflateError(f"family {name!r} needs the parameter {exc.args[0]!r}") from None
     if "layout" not in obj:
@@ -113,17 +130,20 @@ def load_state(path: str) -> Union[DensityMatrix, Distribution]:
                 f"distribution layout labels {layout.labels} must be {axis_labels} in axis order"
             )
         try:
-            probs = np.array(obj["data"], dtype=float)
+            probs = np.array(data, dtype=float)
         except (TypeError, ValueError):
             raise QInflateError("distribution 'data' must be a list of numbers") from None
         return Distribution(dims, probs)
     if kind == "pure":
-        amps = np.array([_complex_in(p) for p in obj["data"]])
-        return PureState(layout, amps).to_density()
+        if not isinstance(data, list):
+            raise QInflateError("pure 'data' must be a list of [re, im] pairs")
+        return PureState(layout, np.array([_complex_in(p) for p in data])).to_density()
     if kind == "mixed":
-        rows = [[_complex_in(p) for p in row] for row in obj["data"]]
-        if any(len(row) != len(rows) for row in rows):
+        if not isinstance(data, list) or any(
+            not isinstance(row, list) or len(row) != len(data) for row in data
+        ):
             raise QInflateError("mixed 'data' must be a square matrix of [re, im] pairs")
+        rows = [[_complex_in(p) for p in row] for row in data]
         return DensityMatrix(HermitianOperator(layout, np.array(rows)))
     raise QInflateError(f"unknown kind {kind!r}; expected pure/mixed/distribution/family")
 
@@ -131,32 +151,20 @@ def load_state(path: str) -> Union[DensityMatrix, Distribution]:
 def save_state(obj: Union[DensityMatrix, Distribution, PureState], path: str) -> None:
     """Write a state or distribution as a JSON state file (round-trip exact)."""
     if isinstance(obj, Distribution):
-        doc = {
-            "layout": [
-                {"label": chr(ord("A") + i), "dim": d}
-                for i, d in enumerate(obj.outcome_dims)
-            ],
-            "kind": "distribution",
-            "data": [float(p) for p in obj.probs],
-        }
-    elif isinstance(obj, PureState):
-        doc = {
-            "layout": [
-                {"label": s, "dim": d}
-                for s, d in zip(obj.layout.labels, obj.layout.dims)
-            ],
-            "kind": "pure",
-            "data": [_complex_out(a) for a in obj.amplitudes],
-        }
+        dims = obj.outcome_dims
+        labels = tuple(chr(ord("A") + i) for i in range(len(dims)))
+        kind, data = "distribution", [float(p) for p in obj.probs]
     else:
-        doc = {
-            "layout": [
-                {"label": s, "dim": d}
-                for s, d in zip(obj.layout.labels, obj.layout.dims)
-            ],
-            "kind": "mixed",
-            "data": [[_complex_out(z) for z in row] for row in obj.entries],
-        }
+        dims, labels = obj.layout.dims, obj.layout.labels
+        if isinstance(obj, PureState):
+            kind, data = "pure", [_complex_out(a) for a in obj.amplitudes]
+        else:
+            kind, data = "mixed", [[_complex_out(z) for z in row] for row in obj.entries]
+    doc = {
+        "layout": [{"label": s, "dim": d} for s, d in zip(labels, dims)],
+        "kind": kind,
+        "data": data,
+    }
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
@@ -167,15 +175,10 @@ def save_state(obj: Union[DensityMatrix, Distribution, PureState], path: str) ->
 
 
 def render_svg(
-    series: dict[str, list[tuple[float, float]]],
-    title: str,
-    xlabel: str,
-    ylabel: str,
-    width: int = 640,
-    height: int = 420,
+    series: dict[str, list[tuple[float, float]]], title: str, xlabel: str, ylabel: str
 ) -> str:
-    """Minimal multi-series line chart: axes, polylines, labels, zero line."""
-    pad = 60
+    """Minimal 640x420 multi-series line chart: axes, polylines, labels, zero line."""
+    width, height, pad = 640, 420, 60
     xs = [x for pts in series.values() for x, _ in pts]
     ys = [y for pts in series.values() for _, y in pts]
     x0, x1 = min(xs), max(xs)
@@ -265,9 +268,11 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, count = spec.split(":")
-        return np.linspace(float(start), float(stop), int(count))
+        if int(count) >= 1:
+            return np.linspace(float(start), float(stop), int(count))
     except ValueError:
-        raise QInflateError(f"grid must be start:stop:count, got {spec!r}") from None
+        pass
+    raise QInflateError(f"grid must be start:stop:count with count >= 1, got {spec!r}")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

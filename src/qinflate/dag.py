@@ -267,7 +267,6 @@ def parse_dag(text: str) -> PartitionedDag:
     """
     nodes: list[DagNode] = []
     edges: set[tuple[str, str]] = set()
-    seen_edges: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -295,9 +294,8 @@ def parse_dag(text: str) -> PartitionedDag:
             if len(parts) != 3:
                 raise InvalidParameter(f"line {lineno}: expected 'edge <parent> <child>'")
             e = (parts[1], parts[2])
-            if e in seen_edges:
+            if e in edges:
                 raise DuplicateLabel(f"line {lineno}: duplicate edge {e}")
-            seen_edges.add(e)
             edges.add(e)
         else:
             raise InvalidParameter(f"line {lineno}: unknown directive {parts[0]!r}")

@@ -308,12 +308,10 @@ def min_eigenvalue(x: HermitianOperator) -> float:
     return float(hermitian_eig(x).eigenvalues[0])
 
 
-def support_kernel_projectors(
-    x: HermitianOperator, rank_tol: float = DEFAULT_RANK_TOL
-) -> tuple[HermitianOperator, HermitianOperator]:
-    """Projectors onto the support (|eigenvalue| > rank_tol) and its complement."""
+def support_kernel_projectors(x: HermitianOperator) -> tuple[HermitianOperator, HermitianOperator]:
+    """Projectors onto the support (|eigenvalue| > DEFAULT_RANK_TOL) and its complement."""
     spec = hermitian_eig(x)
-    mask = np.abs(spec.eigenvalues) > rank_tol
+    mask = np.abs(spec.eigenvalues) > DEFAULT_RANK_TOL
     u = spec.eigenvectors[:, mask]
     p_supp = u @ u.conj().T
     p_ker = np.eye(x.side) - p_supp
@@ -329,13 +327,12 @@ def _check_projector(p: HermitianOperator) -> None:
         raise NotProjector(f"idempotency deviation {dev:.3e}")
 
 
-def subspace_intersects(
-    p: HermitianOperator, q: HermitianOperator, angle_tol: float = DEFAULT_ANGLE_TOL
-) -> bool:
-    """True iff ran(p) and ran(q) share a direction (principal angle ~ 0)."""
+def subspace_intersects(p: HermitianOperator, q: HermitianOperator) -> bool:
+    """True iff ran(p) and ran(q) share a direction: the top eigenvalue of pqp
+    is within DEFAULT_ANGLE_TOL of 1."""
     _check_projector(p)
     _check_projector(q)
     if p.layout.total_dim != q.layout.total_dim:
         raise DimensionError("projectors act on spaces of different dimension")
     top = float(np.linalg.eigvalsh(p.entries @ q.entries @ p.entries)[-1])
-    return top >= 1.0 - angle_tol
+    return top >= 1.0 - DEFAULT_ANGLE_TOL

@@ -35,13 +35,16 @@ from .states import (
     is_biseparable_pure,
     measure_local,
     omega_example,
+    qutrit_pair,
     random_density_matrix,
     random_pure_state,
+    schmidt224,
     toth_acin_operator,
     tri_bell,
     w_distn,
     w_state,
     white_noise_mixture,
+    z3_twirl,
 )
 from .witness import (
     QUTRIT_MIXED_REFERENCE,
@@ -50,9 +53,7 @@ from .witness import (
     cut_witness_classical,
     cut_witness_quantum,
     fidelity_witness,
-    schmidt224_entry,
     pure_delta_structure,
-    qutrit_witnesses,
     supp_ker_test,
     toth_acin_eigs,
     tri_bell_cubic,
@@ -204,18 +205,23 @@ def claim_ac6(rng: np.random.Generator) -> list[CheckRow]:
 
 
 def claim_ac7(rng: np.random.Generator) -> list[CheckRow]:
-    rows = []
-    dev = 0.0
+    cuts = (("A", "B"), ("A", "C"), ("B", "C"))
+    spec_dev = twirl_dev = 0.0
     for p0 in np.linspace(0.0, 1.0, 5):
         for p1 in np.linspace(0.0, 1.0 - p0, 5):
-            rep = qutrit_witnesses(p0, p1)
-            for spec in rep.mixed_spectra.values():
-                dev = max(dev, float(np.max(np.abs(spec - QUTRIT_MIXED_REFERENCE))))
-    rows.append(_row("mixed spectra deviation over 5x5 grid", 0.0, dev, 1e-9))
-    rep = qutrit_witnesses(0.5, 0.25)
-    lo = min(float(s[0]) for s in rep.pure_spectra.values())
-    rows.append(_row("pure-state eigenvalue at p0=2p1=0.5", -0.01348, lo, 1e-4))
-    return rows
+            pure, mixed = qutrit_pair(p0, p1)
+            for cut in cuts:
+                spec = cut_witness_quantum(mixed, cut).spectrum.eigenvalues
+                spec_dev = max(spec_dev, float(np.max(np.abs(spec - QUTRIT_MIXED_REFERENCE))))
+            twirl = z3_twirl(pure.to_density())
+            twirl_dev = max(twirl_dev, float(np.max(np.abs(twirl.entries - mixed.entries))))
+    rho = qutrit_pair(0.5, 0.25)[0].to_density()
+    lo = min(cut_witness_quantum(rho, cut).min_eigenvalue() for cut in cuts)
+    return [
+        _row("mixed spectra deviation over 5x5 grid", 0.0, spec_dev, 1e-9),
+        _row("mixture equals the Z3 twirl over 5x5 grid", 0.0, twirl_dev, 1e-10),
+        _row("pure-state eigenvalue at p0=2p1=0.5", -0.01348, lo, 1e-4),
+    ]
 
 
 def claim_ac8(rng: np.random.Generator) -> list[CheckRow]:
@@ -223,16 +229,11 @@ def claim_ac8(rng: np.random.Generator) -> list[CheckRow]:
     for _ in range(100):
         a0sq = rng.uniform(0.05, 0.9)
         a4sq = rng.uniform(0.0, 0.95 - a0sq)
-        rest = 1.0 - a0sq - a4sq
-        parts = rng.dirichlet(np.ones(3)) * rest
-        entry = schmidt224_entry(
-            np.sqrt(a0sq),
-            np.sqrt(a4sq),
-            np.sqrt(parts[0]),
-            np.sqrt(parts[1]),
-            np.sqrt(parts[2]),
-            phi0=rng.uniform(0, 2 * np.pi),
-        )
+        parts = rng.dirichlet(np.ones(3)) * (1.0 - a0sq - a4sq)
+        alphas = np.sqrt([a0sq, 0.0, 0.0, 0.0, a4sq, *parts])
+        psi = schmidt224(alphas, phi0=rng.uniform(0, 2 * np.pi), enforce_ordering=False)
+        w = cut_witness_quantum(psi.to_density(), ("A", "C"))
+        entry = float(np.real(w.entries[4, 4]))  # |010> in the (2,2,4) product basis
         closed = -a0sq * (1 - a0sq - a4sq)
         worst = max(worst, abs(entry - closed))
     return [_row("closed form vs assembled over 100 draws", 0.0, worst, 1e-9)]

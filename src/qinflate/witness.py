@@ -46,8 +46,6 @@ from .states import (
     PureState,
     ghz_state,
     nu_decomposition,
-    qutrit_pair,
-    schmidt224,
     w_state,
 )
 
@@ -425,26 +423,6 @@ def tri_bell_eigs(t: float) -> np.ndarray:
     return np.sort(np.repeat(vals, 2))
 
 
-def schmidt224_entry(
-    alpha0: float,
-    alpha4: float,
-    alpha5: float,
-    alpha6: float,
-    alpha7: float,
-    phi0: float = 0.0,
-) -> float:
-    """<010| I_AC |010> for the qubit-qubit-ququart family, read off the
-    assembled witness; claim AC-8 checks it against the closed form
-    -alpha0^2 (1 - alpha0^2 - alpha4^2)."""
-    psi = schmidt224(
-        (alpha0, 0.0, 0.0, 0.0, alpha4, alpha5, alpha6, alpha7),
-        phi0=phi0,
-        enforce_ordering=False,
-    )
-    w = cut_witness_quantum(psi.to_density(), ("A", "C"))
-    return float(np.real(w.entries[4, 4]))  # |010> in the (2,2,4) product basis
-
-
 def werner_ghz_eigs(p: float) -> np.ndarray:
     """Closed-form ascending I_xy spectrum for GHZ mixed with white noise."""
     vals = [0.25] * 4 + [(1 - 2 * p) / 4] * 2 + [(1 + 2 * p) / 4] * 2
@@ -497,35 +475,8 @@ def toth_acin_eigs(c: float) -> np.ndarray:
     return np.sort(np.array(vals))
 
 
+# Ascending spectrum of every cut witness on the qutrit mixture, whatever its
+# weights; claim AC-7 checks this at 1e-9.
 QUTRIT_MIXED_REFERENCE = np.sort(
     np.concatenate([[7 / 9] * 3, [4 / 9] * 12, [1 / 9] * 12])
 )
-
-
-@dataclass(frozen=True)
-class QutritReport:
-    """Cut-witness spectra for the qutrit superposition/mixture pair."""
-
-    pure_spectra: dict[str, np.ndarray]
-    mixed_spectra: dict[str, np.ndarray]
-    pure_verdicts: dict[str, Verdict]
-
-
-def qutrit_witnesses(p0: float, p1: float) -> QutritReport:
-    """Spectra of all three cut witnesses for the qutrit pair at (p0, p1).
-
-    The mixed-state spectra are independent of the weights and equal
-    `QUTRIT_MIXED_REFERENCE`; claim AC-7 checks this at 1e-9.
-    """
-    pure, mixed = qutrit_pair(p0, p1)
-    cuts = {"AB": ("A", "B"), "AC": ("A", "C"), "BC": ("B", "C")}
-    pure_spec: dict[str, np.ndarray] = {}
-    mixed_spec: dict[str, np.ndarray] = {}
-    verdicts: dict[str, Verdict] = {}
-    rho_pure = pure.to_density()
-    for name, cut in cuts.items():
-        wp = cut_witness_quantum(rho_pure, cut)
-        pure_spec[name] = wp.spectrum.eigenvalues
-        mixed_spec[name] = cut_witness_quantum(mixed, cut).spectrum.eigenvalues
-        verdicts[name] = verdict(wp)
-    return QutritReport(pure_spec, mixed_spec, verdicts)

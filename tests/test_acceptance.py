@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qinflate import witness
+from qinflate import reproduce
 from qinflate.linalg import DensityMatrix, HermitianOperator
 from qinflate.reproduce import CLAIMS, run_claim
 from qinflate.states import QUTRIT3, qutrit_pair
@@ -36,26 +36,41 @@ def test_acceptance(claim_id: str) -> None:
 # The identities behind AC-7 and AC-8 are checked by the claims alone; a
 # fault in them must turn the claim's own row to FAIL, not raise.
 
+AC7_ROWS = (
+    "mixed spectra deviation over 5x5 grid",
+    "mixture equals the Z3 twirl over 5x5 grid",
+    "pure-state eigenvalue at p0=2p1=0.5",
+)
+
+
+def _ac7_rows():
+    return {r.name: r.passed for r in run_claim("AC-7", np.random.default_rng(0)).rows}
+
 
 def test_broken_qutrit_mixture_fails_ac7(monkeypatch):
     pure, _ = qutrit_pair(0.5, 0.25)
     maximally_mixed = DensityMatrix(HermitianOperator(QUTRIT3, np.eye(27) / 27))
-    monkeypatch.setattr(witness, "qutrit_pair", lambda p0, p1: (pure, maximally_mixed))
-    rows = {r.name: r.passed for r in run_claim("AC-7", np.random.default_rng(0)).rows}
-    assert rows == {
-        "mixed spectra deviation over 5x5 grid": False,
-        "pure-state eigenvalue at p0=2p1=0.5": True,
-    }
+    monkeypatch.setattr(reproduce, "qutrit_pair", lambda p0, p1: (pure, maximally_mixed))
+    assert _ac7_rows() == dict(zip(AC7_ROWS, (False, False, True)))
+
+
+def test_swapped_qutrit_weights_fail_only_the_twirl_row(monkeypatch):
+    # The mixed spectra do not depend on the weights, so only the twirl
+    # identity sees a mixture built with p0 and p1 exchanged.
+    monkeypatch.setattr(
+        reproduce, "qutrit_pair", lambda p0, p1: (qutrit_pair(p0, p1)[0], qutrit_pair(p1, p0)[1])
+    )
+    assert _ac7_rows() == dict(zip(AC7_ROWS, (True, False, True)))
 
 
 def test_broken_schmidt224_entry_fails_ac8(monkeypatch):
-    real = witness.cut_witness_quantum
+    real = reproduce.cut_witness_quantum
 
     def shifted(rho, cut):
         w = real(rho, cut)
         return WitnessOperator(HermitianOperator(w.layout, w.entries + 1e-6 * np.eye(16)), w.kind)
 
-    monkeypatch.setattr(witness, "cut_witness_quantum", shifted)
+    monkeypatch.setattr(reproduce, "cut_witness_quantum", shifted)
     (row,) = run_claim("AC-8", np.random.default_rng(0)).rows
     assert row.name == "closed form vs assembled over 100 draws"
     assert not row.passed

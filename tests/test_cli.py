@@ -125,6 +125,28 @@ class TestMalformedStateFiles:
         err = _run_bad_file(tmp_path, capsys, doc)
         assert "tri_bell" in err and "'t'" in err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            5,
+            {"kind": "family", "data": [{"family_name": "ghz"}]},
+            {"kind": "family", "data": {"family_name": "tri_bell", "params": [5.0]}},
+            {"kind": "family", "data": {"family_name": "tri_bell", "params": {"t": "abc"}}},
+            {"kind": "family", "data": {"family_name": "werner_ghz", "params": {"p": None}}},
+            {"kind": "family", "data": {"family_name": "schmidt224", "params": {"alphas": "ab"}}},
+            {"kind": "family", "data": {"family_name": ["x"]}},
+            {"layout": QUBIT_LAYOUT, "kind": "pure", "data": 5},
+            {"layout": QUBIT_LAYOUT, "kind": "mixed", "data": [5, 6]},
+        ],
+        ids=[
+            "top-level-number", "family-data-list", "params-list", "param-string",
+            "param-null", "alphas-string", "family-name-list", "pure-data-number",
+            "mixed-rows-numbers",
+        ],
+    )
+    def test_wrong_json_shape(self, tmp_path, capsys, doc):
+        _run_bad_file(tmp_path, capsys, doc)
+
 
 class TestWitnessCommand:
     def test_witnessed_exit_code(self, tmp_path, capsys):
@@ -212,6 +234,13 @@ class TestSweepCommand:
 
     def test_bad_grid(self, capsys):
         assert main(["sweep", "werner_ghz", "--grid", "oops"]) == 1
+
+    @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-2"])
+    def test_empty_grid(self, tmp_path, capsys, grid):
+        svg = tmp_path / "x.svg"
+        assert main(["sweep", "werner_w", "--grid", grid, "--svg", str(svg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not svg.exists()
 
     def test_out_of_domain_grid(self, tmp_path, capsys):
         assert main(["sweep", "tri_bell", "--grid", "0.1:0.2:2", "--restarts", "1"]) == 1

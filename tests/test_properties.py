@@ -10,6 +10,7 @@ public constructors still refuse malformed input.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qinflate.cli import load_state, save_state
+from qinflate.cli import FAMILIES, load_state, main, save_state
 from qinflate.dag import build_cut_inflation, build_triangle, format_dag, parse_dag
 from qinflate.errors import DimensionError, DuplicateLabel, InvalidParameter, NotHermitian
 from qinflate.linalg import (
@@ -264,3 +265,46 @@ def test_dag_text_round_trip(cut, shuffle):
     lines = text.splitlines()
     shuffle.shuffle(lines)
     assert _dag_key(parse_dag("\n".join(lines))) == _dag_key(g)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False, width=32)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+param_names = st.sampled_from(["t", "p", "c", "p0", "p1", "alphas", "phi0", "phi1"])
+layout_entries = st.fixed_dictionaries(
+    {}, optional={"label": st.sampled_from("ABC") | json_values, "dim": st.integers(1, 3) | json_values}
+)
+
+
+@st.composite
+def state_documents(draw) -> object:
+    """JSON state files that are near misses of the accepted shapes."""
+    doc = {
+        "kind": draw(st.sampled_from(["pure", "mixed", "distribution", "family"]) | json_values),
+        "layout": draw(st.lists(layout_entries, max_size=3) | json_values),
+        "data": draw(json_values),
+    }
+    if draw(st.booleans()):
+        doc["data"] = {
+            "family_name": draw(st.sampled_from(sorted(FAMILIES)) | json_values),
+            "params": draw(st.dictionaries(param_names, json_values, max_size=3) | json_values),
+        }
+    for key in ("kind", "layout", "data"):
+        if draw(st.integers(0, 9)) == 0:
+            del doc[key]
+    return doc
+
+
+@SETTINGS
+@given(state_documents())
+def test_witness_never_raises_on_state_files(doc):
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["witness", path]) in (0, 1, 2)
+    finally:
+        os.remove(path)

@@ -33,6 +33,7 @@ from qinflate.states import (
     qutrit_pair,
     random_density_matrix,
     random_pure_state,
+    schmidt224,
     toth_acin,
     toth_acin_operator,
     tri_bell,
@@ -49,9 +50,7 @@ from qinflate.witness import (
     fidelity_witness,
     hall_delta,
     marginals_of,
-    schmidt224_entry,
     pure_delta_structure,
-    qutrit_witnesses,
     supp_ker_test,
     tri_bell_cubic,
     tri_bell_eigs,
@@ -444,23 +443,34 @@ class TestTothAcin:
         assert float(toth_acin_eigs(0.0)[0]) == pytest.approx(0.0, abs=1e-12)
 
 
+def _mixed_qutrit_spectra(p0, p1):
+    _, mixed = qutrit_pair(p0, p1)
+    return [cut_witness_quantum(mixed, cut).spectrum.eigenvalues for cut in CUTS]
+
+
 class TestQutrits:
     def test_mixed_reference_spectrum(self):
-        rep = qutrit_witnesses(0.5, 0.25)
-        for spec in rep.mixed_spectra.values():
+        for spec in _mixed_qutrit_spectra(0.5, 0.25):
             assert np.max(np.abs(spec - QUTRIT_MIXED_REFERENCE)) < 1e-9
 
     def test_pure_witnessed_at_reference_weights(self):
-        rep = qutrit_witnesses(0.5, 0.25)
-        mins = [float(s[0]) for s in rep.pure_spectra.values()]
-        assert min(mins) == pytest.approx(-0.013480, abs=5e-6)
-        assert any(v.witnessed for v in rep.pure_verdicts.values())
+        pure, _ = qutrit_pair(0.5, 0.25)
+        witnesses = [cut_witness_quantum(pure.to_density(), cut) for cut in CUTS]
+        assert min(w.min_eigenvalue() for w in witnesses) == pytest.approx(-0.013480, abs=5e-6)
+        assert any(verdict(w).witnessed for w in witnesses)
 
     def test_mixed_independent_of_weights(self):
-        a = qutrit_witnesses(0.5, 0.25)
-        b = qutrit_witnesses(0.2, 0.7)
-        for k in a.mixed_spectra:
-            assert np.max(np.abs(a.mixed_spectra[k] - b.mixed_spectra[k])) < 1e-10
+        a = _mixed_qutrit_spectra(0.5, 0.25)
+        b = _mixed_qutrit_spectra(0.2, 0.7)
+        for spec_a, spec_b in zip(a, b):
+            assert np.max(np.abs(spec_a - spec_b)) < 1e-10
+
+
+def _schmidt224_entry(a0, a4, a5, a6, a7, phi0=0.0):
+    """<010| I_AC |010> on the qubit-qubit-ququart state with these coefficients."""
+    psi = schmidt224((a0, 0.0, 0.0, 0.0, a4, a5, a6, a7), phi0=phi0, enforce_ordering=False)
+    w = cut_witness_quantum(psi.to_density(), ("A", "C"))
+    return float(np.real(w.entries[4, 4]))
 
 
 class TestSchmidt224Entry:
@@ -470,7 +480,7 @@ class TestSchmidt224Entry:
         a5 = np.sqrt(rest * 0.5)
         a6 = np.sqrt(rest * 0.3)
         a7 = np.sqrt(rest * 0.2)
-        entry = schmidt224_entry(a0, a4, a5, a6, a7)
+        entry = _schmidt224_entry(a0, a4, a5, a6, a7)
         assert entry == pytest.approx(-(a0**2) * (1 - a0**2 - a4**2))
         assert entry < 0
 
@@ -480,7 +490,7 @@ class TestSchmidt224Entry:
         a5 = np.sqrt(rest / 3)
         a6 = np.sqrt(rest / 3)
         a7 = np.sqrt(rest / 3)
-        entry = schmidt224_entry(a0, a4, a5, a6, a7, phi0=0.8)
+        entry = _schmidt224_entry(a0, a4, a5, a6, a7, phi0=0.8)
         assert entry == pytest.approx(-(a0**2) * (1 - a0**2 - a4**2))
 
 
