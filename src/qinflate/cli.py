@@ -55,11 +55,11 @@ def _complex_out(z: complex) -> list[float]:
 
 
 def _complex_in(pair: Any) -> complex:
-    try:
-        re, im = pair if isinstance(pair, (list, tuple)) else ()
-        return complex(float(re), float(im))
-    except (TypeError, ValueError):
-        raise QInflateError(f"complex entries must be [re, im] pairs, got {pair!r}") from None
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_finite_number, pair))):
+        raise QInflateError(
+            f"complex entry {pair!r} is not an [re, im] pair of numbers or is non-finite"
+        )
+    return complex(*pair)
 
 
 FAMILIES = {
@@ -115,12 +115,13 @@ def load_state(path: str) -> Union[DensityMatrix, Distribution]:
             raise QInflateError(f"family {name!r} needs the parameter {exc.args[0]!r}") from None
     if "layout" not in obj:
         raise QInflateError("state file is missing the 'layout' field")
-    try:
-        labels = tuple(e["label"] for e in obj["layout"])
-        dims = tuple(int(e["dim"]) for e in obj["layout"])
-    except (KeyError, TypeError, ValueError):
-        raise QInflateError("each 'layout' entry needs a 'label' and an integer 'dim'") from None
-    layout = SubsystemLayout(dims, labels)
+    entries = obj["layout"]
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and "label" in e and type(e.get("dim")) is int for e in entries
+    ):
+        raise QInflateError("each 'layout' entry needs a 'label' and an integer 'dim'")
+    dims = tuple(e["dim"] for e in entries)
+    layout = SubsystemLayout(dims, tuple(e["label"] for e in entries))
     if kind == "distribution":
         # Cuts address a distribution's variables by axis as A, B, C, ... (the
         # labels save_state writes), so other labels are refused, not misread.
@@ -129,11 +130,9 @@ def load_state(path: str) -> Union[DensityMatrix, Distribution]:
             raise QInflateError(
                 f"distribution layout labels {layout.labels} must be {axis_labels} in axis order"
             )
-        try:
-            probs = np.array(data, dtype=float)
-        except (TypeError, ValueError):
-            raise QInflateError("distribution 'data' must be a list of numbers") from None
-        return Distribution(dims, probs)
+        if not isinstance(data, list) or not all(map(_is_finite_number, data)):
+            raise QInflateError("distribution 'data' must be a flat list of finite numbers")
+        return Distribution(dims, np.array(data, dtype=float))
     if kind == "pure":
         if not isinstance(data, list):
             raise QInflateError("pure 'data' must be a list of [re, im] pairs")

@@ -23,10 +23,6 @@ class NoConvergence(QInflateError):
     """An iterative solver hit its iteration cap."""
 
 
-class NotProjector(QInflateError):
-    """Operator is not an orthogonal projector within tolerance."""
-
-
 class DomainError(QInflateError):
     """A numeric parameter lies outside its admissible range."""
 

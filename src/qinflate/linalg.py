@@ -33,16 +33,12 @@ from .errors import (
     InvalidParameter,
     NoConvergence,
     NotHermitian,
-    NotProjector,
     UnknownLabel,
 )
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-DEFAULT_RANK_TOL = 1e-8
-DEFAULT_ANGLE_TOL = 1e-6
-PROJECTOR_TOL = 1e-7
 
 #: An operator counts as non-positive iff its minimum eigenvalue is below this.
 VERDICT_TOL = 1e-8
@@ -307,32 +303,3 @@ def hermitian_eig(x: HermitianOperator) -> Spectrum:
 def min_eigenvalue(x: HermitianOperator) -> float:
     return float(hermitian_eig(x).eigenvalues[0])
 
-
-def support_kernel_projectors(x: HermitianOperator) -> tuple[HermitianOperator, HermitianOperator]:
-    """Projectors onto the support (|eigenvalue| > DEFAULT_RANK_TOL) and its complement."""
-    spec = hermitian_eig(x)
-    mask = np.abs(spec.eigenvalues) > DEFAULT_RANK_TOL
-    u = spec.eigenvectors[:, mask]
-    p_supp = u @ u.conj().T
-    p_ker = np.eye(x.side) - p_supp
-    return (
-        HermitianOperator(x.layout, p_supp),
-        HermitianOperator(x.layout, p_ker),
-    )
-
-
-def _check_projector(p: HermitianOperator) -> None:
-    dev = np.max(np.abs(p.entries @ p.entries - p.entries))
-    if dev > PROJECTOR_TOL:
-        raise NotProjector(f"idempotency deviation {dev:.3e}")
-
-
-def subspace_intersects(p: HermitianOperator, q: HermitianOperator) -> bool:
-    """True iff ran(p) and ran(q) share a direction: the top eigenvalue of pqp
-    is within DEFAULT_ANGLE_TOL of 1."""
-    _check_projector(p)
-    _check_projector(q)
-    if p.layout.total_dim != q.layout.total_dim:
-        raise DimensionError("projectors act on spaces of different dimension")
-    top = float(np.linalg.eigvalsh(p.entries @ q.entries @ p.entries)[-1])
-    return top >= 1.0 - DEFAULT_ANGLE_TOL

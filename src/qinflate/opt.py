@@ -36,12 +36,11 @@ import numpy as np
 from .errors import DomainError
 from .linalg import DensityMatrix, HermitianOperator, _partial_transpose
 from .states import LocalBasis, tri_bell, tri_bell_t_from_amplitude
-from .witness import WitnessOperator, cut_witness_quantum
+from .witness import WitnessOperator, _bisect_crossing, cut_witness_quantum
 
 ADMM_PENALTY = 1.0
 ADMM_MAX_ITER = 20000
 ADMM_TOL = 1e-7
-DEFAULT_RESTARTS = 64
 
 
 def _load_minimize():
@@ -193,8 +192,8 @@ def _complete_basis(v: np.ndarray) -> np.ndarray:
     return np.column_stack([v, vecs[:, 1:]])
 
 
-def product_min(w: WitnessOperator, restarts: int = DEFAULT_RESTARTS,
-                rng: np.random.Generator | None = None) -> ProductSearchResult:
+def product_min(w: WitnessOperator, restarts: int,
+                rng: np.random.Generator) -> ProductSearchResult:
     """Multi-start minimization of the witness over product unit vectors.
 
     Flipping any local vector to an orthogonal partner only permutes the
@@ -205,8 +204,6 @@ def product_min(w: WitnessOperator, restarts: int = DEFAULT_RESTARTS,
     layout = w.layout
     if layout.n_subsystems != 3:
         raise DomainError("product search covers three subsystems")
-    if rng is None:
-        rng = np.random.default_rng()
     dims = layout.dims
     ends = np.cumsum([2 * (d - 1) for d in dims]).tolist()
     spans = list(zip([0] + ends[:-1], ends, dims))
@@ -252,14 +249,10 @@ def _tri_bell_witness(a: float) -> WitnessOperator:
 
 
 def sweep_tri_bell(
-    grid: Sequence[float],
-    restarts: int = DEFAULT_RESTARTS,
-    rng: np.random.Generator | None = None,
+    grid: Sequence[float], restarts: int, rng: np.random.Generator
 ) -> list[SweepRow]:
     """Evaluate min eigenvalue, relaxation value, and product upper bound on a
     grid of tri-Bell amplitudes in [1/sqrt(3), 1)."""
-    if rng is None:
-        rng = np.random.default_rng()
     rows = []
     for a in grid:
         a = float(a)
@@ -280,10 +273,4 @@ def iota_tilde_crossing(lo: float = 0.70, hi: float = 0.95, iters: int = 12) -> 
         raise DomainError(
             f"no sign change on [{lo}, {hi}]: values ({f_lo:.3e}, {f_hi:.3e})"
         )
-    for _ in range(iters):
-        mid = (lo + hi) / 2
-        if ppt_min(_tri_bell_witness(mid)).value < 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    return _bisect_crossing(lambda a: -ppt_min(_tri_bell_witness(a)).value, lo, hi, iters)

@@ -38,8 +38,6 @@ from .linalg import (
     kron,
     partial_trace,
     permute_subsystems,
-    subspace_intersects,
-    support_kernel_projectors,
 )
 from .states import (
     Distribution,
@@ -51,6 +49,10 @@ from .states import (
 
 EQUIMARGINAL_TOL = 1e-8
 CLUSTER_TOL = 1e-7
+#: Support/kernel criterion: an eigenvalue at most this in magnitude counts as 0.
+DEFAULT_RANK_TOL = 1e-8
+#: Two subspaces meet when cos^2 of their smallest principal angle is within this of 1.
+DEFAULT_ANGLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -328,22 +330,29 @@ def supp_ker_test(rho: DensityMatrix, cut: tuple[str, str]) -> bool:
 
 
 def _supp_ker_tests(rho: DensityMatrix, cuts: Iterable[tuple[str, str]]) -> list[bool]:
-    """`supp_ker_test` on each cut; Delta does not depend on the cut, so its
-    kernel projector is built once, when a cut first needs it."""
+    """`supp_ker_test` on each cut, decided on orthonormal bases.
+
+    U holds the eigenvectors of nu_minus (x) 1_z with eigenvalue above
+    DEFAULT_RANK_TOL; K holds those of Delta with |eigenvalue| at most
+    DEFAULT_RANK_TOL, read off Delta's own spectrum once, when a cut first
+    has a nonempty U (Delta does not depend on the cut). The spans meet iff
+    their smallest principal angle is 0, i.e. the largest singular value of
+    U+ K (the cosine of that angle; Bjorck & Golub 1973) is 1; it counts as 1
+    when its square is within DEFAULT_ANGLE_TOL of 1.
+    """
     if rho.layout.n_subsystems != 3:
         raise DimensionError("support/kernel test needs exactly three subsystems")
     full = rho.layout.sorted()
-    p_ker = None
+    ker = None
     out = []
     for x, y in cuts:
-        nu_minus_full = embed(nu_decomposition(rho, x, y).nu_minus, full)
-        if nu_minus_full.trace() < 1e-12:
-            out.append(False)
-            continue
-        p_nu, _ = support_kernel_projectors(nu_minus_full)
-        if p_ker is None:
-            _, p_ker = support_kernel_projectors(_joint_delta(rho).op)
-        out.append(subspace_intersects(p_nu, p_ker))
+        nu = hermitian_eig(embed(nu_decomposition(rho, x, y).nu_minus, full))
+        supp = nu.eigenvectors[:, nu.eigenvalues > DEFAULT_RANK_TOL]
+        if ker is None and supp.size:
+            delta = _joint_delta(rho).spectrum
+            ker = delta.eigenvectors[:, np.abs(delta.eigenvalues) <= DEFAULT_RANK_TOL]
+        cos = np.linalg.norm(supp.conj().T @ ker, 2) if supp.size else 0.0
+        out.append(bool(cos**2 >= 1.0 - DEFAULT_ANGLE_TOL))
     return out
 
 

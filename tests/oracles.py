@@ -201,6 +201,57 @@ def cut_witness_oracle(
     return out
 
 
+def supp_ker_oracle(
+    m: np.ndarray, dims: tuple[int, ...], labels: tuple[str, ...], cuts: list[tuple[str, str]]
+) -> list[bool]:
+    """Support/kernel criterion on each cut from explicit projectors.
+
+    Operators act on the alphabetically sorted label order. Delta is
+    1 - rho_A - rho_B - rho_C + rho_AB + rho_AC + rho_BC, each marginal
+    tensored with identities entry by entry; nu_minus is the negative part of
+    rho_x (x) rho_y - rho_xy (x, y in layout order). P projects onto the
+    eigenvectors of nu_minus (x) 1_z with eigenvalue above 1e-8, Q onto those of
+    Delta with |eigenvalue| at most 1e-8; the subspaces meet iff the top
+    eigenvalue of P Q P is at least 1 - 1e-6.
+    """
+    import itertools
+
+    order = sorted(range(3), key=lambda k: labels[k])
+    # row r of idx: the local index of every factor, in layout order, of
+    # basis vector r of the sorted order
+    idx = np.array(list(itertools.product(*[range(dims[k]) for k in order])))
+    idx = idx[:, np.argsort(order)]
+    subsets = [s for r in (1, 2) for s in itertools.combinations(range(3), r)]
+    marg = {s: partial_trace_oracle(m, dims, s) for s in subsets}
+
+    def tensor_identity(a: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+        flat = np.zeros(len(idx), dtype=int)
+        for k in keep:
+            flat = flat * dims[k] + idx[:, k]
+        same = np.ones((len(idx), len(idx)), dtype=bool)
+        for k in set(range(3)) - set(keep):
+            same &= idx[:, k][:, None] == idx[:, k][None, :]
+        return np.where(same, a[flat[:, None], flat[None, :]], 0)
+
+    def projector(h: np.ndarray, keep) -> np.ndarray:
+        vals, vecs = np.linalg.eigh(h)
+        v = vecs[:, keep(vals)]
+        return v @ v.conj().T
+
+    delta = np.eye(len(idx)) + sum(
+        (-1) ** len(s) * tensor_identity(marg[s], s) for s in subsets
+    )
+    q = projector(delta, lambda v: np.abs(v) <= 1e-8)
+    out = []
+    for cut in cuts:
+        i, j = sorted(labels.index(s) for s in cut)
+        vals, vecs = np.linalg.eigh(kron_oracle(marg[(i,)], marg[(j,)]) - marg[(i, j)])
+        nu_minus = (vecs * np.maximum(-vals, 0.0)) @ vecs.conj().T
+        p = projector(tensor_identity(nu_minus, (i, j)), lambda v: v > 1e-8)
+        out.append(bool(np.linalg.eigvalsh(p @ q @ p)[-1] >= 1 - 1e-6))
+    return out
+
+
 def ppt_min_oracle(
     wm: np.ndarray, dims: tuple[int, ...], penalty: float, tol: float, max_iter: int
 ) -> tuple[float, np.ndarray, float, float, int]:

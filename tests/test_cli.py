@@ -137,11 +137,22 @@ class TestMalformedStateFiles:
             {"kind": "family", "data": {"family_name": ["x"]}},
             {"layout": QUBIT_LAYOUT, "kind": "pure", "data": 5},
             {"layout": QUBIT_LAYOUT, "kind": "mixed", "data": [5, 6]},
+            {"layout": QUBIT_LAYOUT, "kind": "distribution",
+             "data": [[0.5, 0, 0, 0], [0, 0, 0, 0.5]]},
+            {"layout": QUBIT_LAYOUT, "kind": "distribution", "data": ["0.5", 0, 0, 0, 0, 0, 0, 0.5]},
+            {"layout": QUBIT_LAYOUT, "kind": "distribution", "data": [True] + [0] * 7},
+            {"layout": [{"label": s, "dim": 1} for s in "ABC"], "kind": "pure",
+             "data": [["1", "0"]]},
+            *({"layout": [{"label": "A", "dim": dim}] + QUBIT_LAYOUT[1:],
+               "kind": "distribution", "data": [1 / n] * n}
+              for dim, n in ((2.7, 8), ("2", 8), (True, 4))),
         ],
         ids=[
             "top-level-number", "family-data-list", "params-list", "param-string",
             "param-null", "alphas-string", "family-name-list", "pure-data-number",
-            "mixed-rows-numbers",
+            "mixed-rows-numbers", "distribution-nested", "probability-string",
+            "probability-boolean", "amplitude-string", "dim-float", "dim-string",
+            "dim-boolean",
         ],
     )
     def test_wrong_json_shape(self, tmp_path, capsys, doc):

@@ -11,7 +11,6 @@ from qinflate.errors import (
     InvalidParameter,
     NoConvergence,
     NotHermitian,
-    NotProjector,
     UnknownLabel,
 )
 from qinflate.linalg import (
@@ -25,8 +24,6 @@ from qinflate.linalg import (
     partial_trace,
     partial_transpose,
     permute_subsystems,
-    subspace_intersects,
-    support_kernel_projectors,
 )
 from qinflate.states import ghz_state, random_density_matrix
 
@@ -226,59 +223,6 @@ class TestHermitianEig:
         x = random_hermitian(lay)
         spec = hermitian_eig(x)
         assert np.max(np.abs(spec.reconstruct() - x.entries)) < 1e-9
-
-
-class TestSupportKernel:
-    def test_rank_one_projector(self):
-        p = HermitianOperator(QUBIT, np.diag([1.0, 0.0]))
-        supp, ker = support_kernel_projectors(p)
-        np.testing.assert_allclose(supp.entries, np.diag([1.0, 0.0]), atol=1e-12)
-        np.testing.assert_allclose(ker.entries, np.diag([0.0, 1.0]), atol=1e-12)
-
-    def test_constructed_rank(self):
-        lay = SubsystemLayout((8,), ("A",))
-        for k in (1, 3, 5):
-            vs = RNG.standard_normal((8, k)) + 1j * RNG.standard_normal((8, k))
-            m = vs @ vs.conj().T
-            supp, ker = support_kernel_projectors(HermitianOperator(lay, m))
-            assert round(supp.trace()) == k
-            assert round(ker.trace()) == 8 - k
-            np.testing.assert_allclose(
-                supp.entries + ker.entries, np.eye(8), atol=1e-9
-            )
-
-    def test_idempotent(self):
-        x = random_hermitian(QUBIT3)
-        supp, ker = support_kernel_projectors(x)
-        for p in (supp, ker):
-            np.testing.assert_allclose(p.entries @ p.entries, p.entries, atol=1e-9)
-
-
-class TestSubspaceIntersects:
-    def test_equal_projectors(self):
-        p = HermitianOperator(QUBIT, np.diag([1.0, 0.0]))
-        assert subspace_intersects(p, p)
-
-    def test_orthogonal_projectors(self):
-        p = HermitianOperator(QUBIT, np.diag([1.0, 0.0]))
-        q = HermitianOperator(QUBIT, np.diag([0.0, 1.0]))
-        assert not subspace_intersects(p, q)
-
-    def test_known_shared_direction(self):
-        lay = SubsystemLayout((4,), ("A",))
-        shared = np.array([1, 1, 0, 0], dtype=complex) / np.sqrt(2)
-        other1 = np.array([0, 0, 1, 0], dtype=complex)
-        other2 = np.array([0, 0, 0, 1], dtype=complex)
-        p = HermitianOperator(lay, np.outer(shared, shared.conj()) + np.outer(other1, other1.conj()))
-        q = HermitianOperator(lay, np.outer(shared, shared.conj()) + np.outer(other2, other2.conj()))
-        assert subspace_intersects(p, q)
-
-    def test_non_projector_rejected(self):
-        with pytest.raises(NotProjector):
-            subspace_intersects(
-                HermitianOperator(QUBIT, np.diag([0.5, 0.0])),
-                HermitianOperator(QUBIT, np.diag([1.0, 0.0])),
-            )
 
 
 class TestEmbedPermute:

@@ -296,7 +296,7 @@ class TestSweep:
     def test_domain(self):
         for a in (1 / np.sqrt(3) - 1e-10, 0.5, 1.0):
             with pytest.raises(DomainError):
-                sweep_tri_bell([a], restarts=1)
+                sweep_tri_bell([a], restarts=1, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("a", [np.sqrt(1 / 3), 1 / np.sqrt(3), 1 / np.sqrt(3) - 5e-13])
     def test_lower_edge_sweeps(self, a):

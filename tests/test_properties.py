@@ -45,6 +45,8 @@ from qinflate.witness import (
     cut_witness_quantum,
     hall_delta,
     marginals_of,
+    supp_ker_test,
+    verdict,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -204,6 +206,22 @@ def test_joint_delta_is_checked_delta(dims, labels, seed):
     assert delta.layout == checked.layout
     assert np.array_equal(delta.entries, checked.entries)
     assert delta.min_eigenvalue() >= -1e-9
+
+
+@SETTINGS
+@given(st.tuples(*[st.integers(1, 4)] * 3), st.permutations("ABC"), seeds,
+       st.integers(1, 3), st.sampled_from(CUTS))
+def test_supp_ker_test_fires_only_on_witnessed_cuts(dims, labels, seed, rank, cut):
+    # A state of the given rank; whenever the support/kernel criterion fires,
+    # the same cut's witness has a negative eigenvalue.
+    layout = SubsystemLayout(dims, tuple(labels))
+    rng = np.random.default_rng(seed)
+    d = layout.total_dim
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    m = g @ g.conj().T
+    rho = DensityMatrix(HermitianOperator(layout, m / np.trace(m).real))
+    if supp_ker_test(rho, cut):
+        assert verdict(cut_witness_quantum(rho, cut)).witnessed
 
 
 @SETTINGS

@@ -61,7 +61,12 @@ from qinflate.witness import (
     werner_w_eigs,
 )
 
-from oracles import classical_cut_tensor_oracle, cut_witness_oracle, jacobi_eigh
+from oracles import (
+    classical_cut_tensor_oracle,
+    cut_witness_oracle,
+    jacobi_eigh,
+    supp_ker_oracle,
+)
 
 CUTS = (("A", "B"), ("A", "C"), ("B", "C"))
 
@@ -339,6 +344,25 @@ class TestSuppKerTest:
                     fired += 1
                     assert verdict(cut_witness_quantum(rho, cut)).witnessed
         assert fired > 0
+
+    def test_agrees_with_oracle(self):
+        # local dimensions 1-4 under permuted labels; 60% pure states, the rest
+        # rank-2 mixtures and states of full rank
+        rng = np.random.default_rng(123)
+        fired = []
+        for k in range(200):
+            dims = tuple(int(d) for d in rng.integers(1, 5, size=3))
+            labels = tuple(str(s) for s in rng.permutation(["A", "B", "C"]))
+            lay = SubsystemLayout(dims, labels)
+            d = lay.total_dim
+            rank = (1, 1, 1, 2, d)[k % 5]
+            g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+            m = g @ g.conj().T
+            rho = DensityMatrix(HermitianOperator(lay, m / np.trace(m).real))
+            got = [supp_ker_test(rho, cut) for cut in CUTS]
+            assert got == supp_ker_oracle(rho.entries, dims, labels, CUTS), (dims, labels, k)
+            fired += got
+        assert any(fired) and not all(fired)
 
     def test_silent_on_product_state(self):
         from qinflate.states import PureState
