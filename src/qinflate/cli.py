@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any, Optional, Union
 
@@ -23,6 +22,7 @@ from .reproduce import CLAIMS, run_all, run_claim
 from .states import (
     Distribution,
     PureState,
+    axis_labels,
     ghz_distn,
     ghz_state,
     omega_example,
@@ -125,10 +125,10 @@ def load_state(path: str) -> Union[DensityMatrix, Distribution]:
     if kind == "distribution":
         # Cuts address a distribution's variables by axis as A, B, C, ... (the
         # labels save_state writes), so other labels are refused, not misread.
-        axis_labels = tuple(chr(ord("A") + i) for i in range(len(dims)))
-        if layout.labels != axis_labels:
+        labels = axis_labels(len(dims))
+        if layout.labels != labels:
             raise QInflateError(
-                f"distribution layout labels {layout.labels} must be {axis_labels} in axis order"
+                f"distribution layout labels {layout.labels} must be {labels} in axis order"
             )
         if not isinstance(data, list) or not all(map(_is_finite_number, data)):
             raise QInflateError("distribution 'data' must be a flat list of finite numbers")
@@ -151,7 +151,7 @@ def save_state(obj: Union[DensityMatrix, Distribution, PureState], path: str) ->
     """Write a state or distribution as a JSON state file (round-trip exact)."""
     if isinstance(obj, Distribution):
         dims = obj.outcome_dims
-        labels = tuple(chr(ord("A") + i) for i in range(len(dims)))
+        labels = axis_labels(len(dims))
         kind, data = "distribution", [float(p) for p in obj.probs]
     else:
         dims, labels = obj.layout.dims, obj.layout.labels
@@ -365,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qinflate",
         description="Triangle-network incompatibility witnesses and analyses.",
     )
-    env_seed = os.environ.get("QINFLATE_SEED")
-    default_seed = int(env_seed) if env_seed else 0
     sub = parser.add_subparsers(dest="command", required=True)
 
     pw = sub.add_parser("witness", help="evaluate cut witnesses on a state file")
@@ -382,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--grid", required=True, help="start:stop:count")
     ps.add_argument("--out", help="CSV output path (default: stdout)")
     ps.add_argument("--svg", help="optional SVG chart path")
-    ps.add_argument("--seed", type=int, default=default_seed)
+    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--restarts", type=int, default=16)
     ps.set_defaults(fn=cmd_sweep)
 
@@ -395,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("reproduce", help="recompute recorded numerical claims")
     pr.add_argument("claim", nargs="?", default="all", help="claim id (e.g. AC-3) or 'all'")
-    pr.add_argument("--seed", type=int, default=default_seed)
+    pr.add_argument("--seed", type=int, default=0)
     pr.set_defaults(fn=cmd_reproduce)
     return parser
 

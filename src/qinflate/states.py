@@ -8,7 +8,6 @@ positive/negative split of rho_x (x) rho_y - rho_xy.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -74,6 +73,11 @@ class PureState:
         return DensityMatrix._trusted(self.projector())
 
 
+def axis_labels(n: int) -> tuple[str, ...]:
+    """Labels of a distribution's n variables in axis order: A, B, C, ..."""
+    return tuple(chr(ord("A") + i) for i in range(n))
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Probability tensor over a product outcome space, stored flat row-major."""
@@ -103,16 +107,6 @@ class Distribution:
     @property
     def tensor(self) -> np.ndarray:
         return self.probs.reshape(self.outcome_dims)
-
-    def marginal(self, keep: Sequence[int]) -> "Distribution":
-        """Marginal on the given variable positions (kept in ascending order)."""
-        keep = sorted(set(int(k) for k in keep))
-        n = len(self.outcome_dims)
-        if any(k < 0 or k >= n for k in keep):
-            raise UnknownLabel(f"variable positions {keep} out of range for {n} variables")
-        drop = tuple(i for i in range(n) if i not in keep)
-        t = self.tensor.sum(axis=drop) if drop else self.tensor
-        return Distribution(tuple(self.outcome_dims[k] for k in keep), t.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -185,9 +179,7 @@ def w_distn() -> Distribution:
 
 def encode_distribution(d: Distribution) -> DensityMatrix:
     """Density matrix diagonal in the computational basis with entries d."""
-    n = len(d.outcome_dims)
-    labels = tuple(string.ascii_uppercase[:n])
-    layout = SubsystemLayout(d.outcome_dims, labels)
+    layout = SubsystemLayout(d.outcome_dims, axis_labels(len(d.outcome_dims)))
     return DensityMatrix(HermitianOperator(layout, np.diag(d.probs.astype(complex))))
 
 

@@ -3,8 +3,9 @@
 Builds the inclusion-exclusion operator Delta from subset marginals and the
 cut witnesses I_xy, quantum and classical. I_xy is Delta on the marginals of
 the cut inflation, where x and y share no source, so rho_xy becomes
-rho_x (x) rho_y: one loop serves Delta and I_xy, a pointwise one the
-classical pair. Also renders verdicts and implements the structural checks
+rho_x (x) rho_y: one loop serves Delta and I_xy. The classical cut witness is
+the diagonal of I_xy on the encoded distribution, written out pointwise on the
+probability tensor. Also renders verdicts and implements the structural checks
 used throughout: support/kernel intersection, the antiunitary decomposition
 of Delta for pure three-qubit states, fidelity flags, and the closed-form
 spectra of the named state families.
@@ -13,7 +14,6 @@ spectra of the named state families.
 from __future__ import annotations
 
 import itertools
-import string
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
@@ -42,6 +42,7 @@ from .linalg import (
 from .states import (
     Distribution,
     PureState,
+    axis_labels,
     ghz_state,
     nu_decomposition,
     w_state,
@@ -137,16 +138,6 @@ def _inclusion_exclusion(
     return HermitianOperator._trusted(full, acc)
 
 
-def _pointwise_inclusion_exclusion(
-    terms: Iterable[tuple[int, np.ndarray]], dims: tuple[int, ...]
-) -> np.ndarray:
-    """1 + sum of (-1)^|S| t_S over (|S|, t_S) pairs whose tensors broadcast to dims."""
-    acc = np.ones(dims)
-    for size, t in terms:
-        acc = acc + (-1.0 if size % 2 else 1.0) * t
-    return acc
-
-
 def hall_delta(marginals: Mapping[frozenset, DensityMatrix]) -> WitnessOperator:
     """Alternating-sign sum of subset marginals, tensored with identities.
 
@@ -194,49 +185,13 @@ def marginals_of(rho: DensityMatrix) -> dict[frozenset, DensityMatrix]:
     return out
 
 
-def _dist_marginal_axes(
-    marginals: Mapping[frozenset, Distribution], n: int
-) -> dict[frozenset, Distribution]:
-    out = {frozenset(int(i) for i in k): v for k, v in marginals.items() if k}
-    for key in out:
-        if any(i < 0 or i >= n for i in key):
-            raise UnknownLabel(f"variable positions {sorted(key)} out of range")
-    return out
-
-
-def classical_delta(
-    marginals: Mapping[frozenset, Distribution]
-) -> np.ndarray:
-    """Pointwise 1 - sum(singles) + sum(pairs) over the full outcome space.
-
-    Marginals are keyed by frozensets of variable positions (0-based).
-    """
-    keys = [frozenset(k) for k in marginals if k]
-    n = max(max(k) for k in keys) + 1
-    margs = _dist_marginal_axes(marginals, n)
-    for r in range(1, n):
-        for combo in itertools.combinations(range(n), r):
-            if frozenset(combo) not in margs:
-                raise MissingMarginal(f"missing marginal for variables {combo}")
-    dims = [margs[frozenset({i})].outcome_dims[0] for i in range(n)]
-    # equimarginal consistency between pairs and singletons
-    for key, d in margs.items():
-        for i in key:
-            sub = key - {i}
-            if not sub or sub not in margs:
-                continue
-            pos = sorted(key)
-            reduced = d.tensor.sum(axis=pos.index(i))
-            dev = np.max(np.abs(reduced.reshape(-1) - margs[sub].probs))
-            if dev > 1e-10:
-                raise InconsistentMarginals(
-                    f"marginal of {pos} on {sorted(sub)} deviates by {dev:.3e}"
-                )
-    terms = [
-        (len(key), d.tensor.reshape(tuple(dims[i] if i in key else 1 for i in range(n))))
-        for key, d in margs.items()
-    ]
-    return _pointwise_inclusion_exclusion(terms, tuple(dims))
+def _cut_labels(labels: tuple[str, ...], cut: tuple[str, str]) -> tuple[str, str, str]:
+    """(x, y, z) for a cut (x, y) of three labels, z being the third."""
+    x, y = cut
+    if x == y or x not in labels or y not in labels:
+        raise UnknownLabel(f"cut ({x}, {y}) must name two distinct labels of {labels}")
+    (z,) = [lab for lab in labels if lab not in (x, y)]
+    return x, y, z
 
 
 def cut_witness_quantum(
@@ -256,14 +211,7 @@ def cut_witness_quantum(
     op = rho if isinstance(rho, HermitianOperator) else rho.op
     if op.layout.n_subsystems != 3:
         raise DimensionError("cut witness needs exactly three subsystems")
-    x, y = cut
-    if x == y:
-        raise UnknownLabel(f"cut labels must differ, got ({x}, {y})")
-    labels = op.layout.labels
-    for lab in (x, y):
-        if lab not in labels:
-            raise UnknownLabel(f"cut label {lab!r} not in layout {labels}")
-    (z,) = [lab for lab in labels if lab not in (x, y)]
+    x, y, z = _cut_labels(op.layout.labels, cut)
     m_x, m_y, m_z, m_xz, m_yz = (
         partial_trace(op, set(s)) for s in ((x,), (y,), (z,), (x, z), (y, z))
     )
@@ -272,26 +220,21 @@ def cut_witness_quantum(
 
 
 def cut_witness_classical(p: Distribution, cut: tuple[str, str]) -> np.ndarray:
-    """Pointwise cut inequality tensor for a three-variable distribution.
+    """1 - p_x - p_y - p_z + p_x p_y + p_xz + p_yz at every outcome.
 
     The diagonal of the quantum I_xy on the encoded distribution: Delta on the
     cut inflation's marginals, with p_xy replaced by p_x p_y. Variables are
-    addressed by the letters A, B, C in tensor-axis order.
+    addressed by their axis labels A, B, C.
     """
     if len(p.outcome_dims) != 3:
         raise DimensionError("classical cut witness needs exactly three variables")
-    labels = string.ascii_uppercase[:3]
-    x, y = cut
-    if x == y or x not in labels or y not in labels:
-        raise UnknownLabel(f"cut ({x}, {y}) must name two distinct variables of {labels}")
-    ax, ay = labels.index(x), labels.index(y)
-    (az,) = [i for i in range(3) if i not in (ax, ay)]
+    labels = axis_labels(3)
+    ax, ay, az = (labels.index(lab) for lab in _cut_labels(labels, cut))
     t = p.tensor
     p_x, p_y, p_z = (t.sum(axis=tuple(k for k in range(3) if k != i), keepdims=True)
                      for i in (ax, ay, az))
     p_xz, p_yz = (t.sum(axis=i, keepdims=True) for i in (ay, ax))
-    terms = [(1, p_x), (1, p_y), (1, p_z), (2, p_x * p_y), (2, p_xz), (2, p_yz)]
-    return _pointwise_inclusion_exclusion(terms, p.outcome_dims)
+    return np.ones(p.outcome_dims) - p_x - p_y - p_z + p_x * p_y + p_xz + p_yz
 
 
 def verdict(
@@ -324,21 +267,16 @@ def verdict(
     return Verdict("inconclusive")
 
 
-def supp_ker_test(rho: DensityMatrix, cut: tuple[str, str]) -> bool:
-    """True iff supp(nu_minus (x) 1_z) meets ker(Delta of the marginals)."""
-    return _supp_ker_tests(rho, [cut])[0]
+def supp_ker_test(rho: DensityMatrix, cuts: Iterable[tuple[str, str]]) -> list[bool]:
+    """Per cut, whether supp(nu_minus (x) 1_z) meets ker(Delta of the marginals).
 
-
-def _supp_ker_tests(rho: DensityMatrix, cuts: Iterable[tuple[str, str]]) -> list[bool]:
-    """`supp_ker_test` on each cut, decided on orthonormal bases.
-
-    U holds the eigenvectors of nu_minus (x) 1_z with eigenvalue above
-    DEFAULT_RANK_TOL; K holds those of Delta with |eigenvalue| at most
-    DEFAULT_RANK_TOL, read off Delta's own spectrum once, when a cut first
-    has a nonempty U (Delta does not depend on the cut). The spans meet iff
-    their smallest principal angle is 0, i.e. the largest singular value of
-    U+ K (the cosine of that angle; Bjorck & Golub 1973) is 1; it counts as 1
-    when its square is within DEFAULT_ANGLE_TOL of 1.
+    Decided on orthonormal bases: U holds the eigenvectors of nu_minus (x) 1_z
+    with eigenvalue above DEFAULT_RANK_TOL; K holds those of Delta with
+    |eigenvalue| at most DEFAULT_RANK_TOL, read off Delta's own spectrum once,
+    when a cut first has a nonempty U (Delta does not depend on the cut). The
+    spans meet iff their smallest principal angle is 0, i.e. the largest
+    singular value of U+ K (the cosine of that angle; Bjorck & Golub 1973) is
+    1; it counts as 1 when its square is within DEFAULT_ANGLE_TOL of 1.
     """
     if rho.layout.n_subsystems != 3:
         raise DimensionError("support/kernel test needs exactly three subsystems")

@@ -324,11 +324,3 @@ class TestReproduceCommand:
         assert "AC-1 [PASS]" in out
         assert "AC-X [FAIL] raises" in out
         assert "FAIL raised DomainError: no sign change on [0.7, 0.95]" in out
-
-    def test_seed_env_fallback(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("QINFLATE_SEED", "5")
-        from qinflate.cli import build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(["reproduce", "AC-3"])
-        assert args.seed == 5

@@ -220,7 +220,7 @@ def test_supp_ker_test_fires_only_on_witnessed_cuts(dims, labels, seed, rank, cu
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = g @ g.conj().T
     rho = DensityMatrix(HermitianOperator(layout, m / np.trace(m).real))
-    if supp_ker_test(rho, cut):
+    if supp_ker_test(rho, [cut])[0]:
         assert verdict(cut_witness_quantum(rho, cut)).witnessed
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from qinflate.cli import load_state, save_state
 from qinflate.errors import (
     ConstraintViolated,
     DimensionError,
@@ -274,6 +277,20 @@ class TestMeasureLocal:
         d = Distribution((2, 2, 2), probs)
         out = measure_local(encode_distribution(d), LocalBasis.computational(QUBIT3))
         np.testing.assert_allclose(out.probs, d.probs, atol=1e-14)
+
+    def test_axis_labels_agree_past_26_variables(self, tmp_path):
+        # The state file and the encoded layout name a distribution's
+        # variables alike, also past Z.
+        d = Distribution((1,) * 27, [1.0])
+        path = str(tmp_path / "p.json")
+        save_state(d, path)
+        back = load_state(path)
+        assert back.outcome_dims == d.outcome_dims
+        assert np.array_equal(back.probs, d.probs)
+        with open(path) as fh:
+            file_labels = tuple(e["label"] for e in json.load(fh)["layout"])
+        assert len(set(file_labels)) == 27
+        assert encode_distribution(d).layout.labels == file_labels
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

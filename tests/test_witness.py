@@ -26,6 +26,7 @@ from qinflate.states import (
     QUBIT3,
     Distribution,
     LocalBasis,
+    encode_distribution,
     ghz_distn,
     ghz_state,
     measure_local,
@@ -44,7 +45,6 @@ from qinflate.states import (
 from qinflate.witness import (
     GHZ_FIDELITY_THRESHOLD,
     QUTRIT_MIXED_REFERENCE,
-    classical_delta,
     cut_witness_classical,
     cut_witness_quantum,
     fidelity_witness,
@@ -155,7 +155,7 @@ class TestHallDelta:
                 assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-class TestClassicalDelta:
+class TestClassicalWitness:
     def test_matches_oracle_on_random_distributions(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
@@ -172,24 +172,20 @@ class TestClassicalDelta:
         t = rng.random((2, 2, 2))
         t /= t.sum()
         p = Distribution((2, 2, 2), t.reshape(-1))
-        margs = {
-            frozenset(k): p.marginal(k)
-            for k in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
-        }
-        d = classical_delta(margs)
-        assert d.min() > -1e-12
+        d = hall_delta(marginals_of(encode_distribution(p)))
+        assert np.real(np.diag(d.entries)).min() >= -1e-12
 
-    def test_missing_marginal(self):
+    def test_rejects_bad_cuts(self):
         p = ghz_distn()
-        margs = {frozenset(k): p.marginal(k) for k in ((0,), (1,), (2,), (0, 1), (0, 2))}
-        with pytest.raises(MissingMarginal):
-            classical_delta(margs)
+        for cut in (("A", "A"), ("A", "X"), ("a", "b")):
+            with pytest.raises(UnknownLabel):
+                cut_witness_classical(p, cut)
+        with pytest.raises(DimensionError):
+            cut_witness_classical(Distribution((2, 2), np.full(4, 0.25)), ("A", "B"))
 
     def test_diagonal_state_matches_distribution_witness(self):
         # For classical (diagonal) states the quantum witness diagonal equals
         # the classical cut tensor.
-        from qinflate.states import encode_distribution
-
         for p in (ghz_distn(), w_distn()):
             rho = encode_distribution(p)
             for cut in CUTS:
@@ -329,7 +325,7 @@ class TestPureDeltaStructure:
 class TestSuppKerTest:
     def test_fires_on_ghz(self):
         rho = ghz_state().to_density()
-        assert any(supp_ker_test(rho, cut) for cut in CUTS)
+        assert any(supp_ker_test(rho, CUTS))
 
     def test_sound_when_it_fires(self):
         # whenever the support/kernel criterion fires, the same cut's witness
@@ -339,8 +335,8 @@ class TestSuppKerTest:
         for _ in range(40):
             psi = random_pure_state(QUBIT3, rng)
             rho = psi.to_density()
-            for cut in CUTS:
-                if supp_ker_test(rho, cut):
+            for cut, fires in zip(CUTS, supp_ker_test(rho, CUTS)):
+                if fires:
                     fired += 1
                     assert verdict(cut_witness_quantum(rho, cut)).witnessed
         assert fired > 0
@@ -359,7 +355,7 @@ class TestSuppKerTest:
             g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
             m = g @ g.conj().T
             rho = DensityMatrix(HermitianOperator(lay, m / np.trace(m).real))
-            got = [supp_ker_test(rho, cut) for cut in CUTS]
+            got = supp_ker_test(rho, CUTS)
             assert got == supp_ker_oracle(rho.entries, dims, labels, CUTS), (dims, labels, k)
             fired += got
         assert any(fired) and not all(fired)
@@ -370,8 +366,7 @@ class TestSuppKerTest:
         amps = np.zeros(8)
         amps[0] = 1.0
         rho = PureState(QUBIT3, amps).to_density()
-        for cut in CUTS:
-            assert not supp_ker_test(rho, cut)
+        assert supp_ker_test(rho, CUTS) == [False] * 3
 
 
 class TestFidelityWitness:
