@@ -17,10 +17,15 @@ conjugate-symmetric bit for bit in IEEE arithmetic, so the skipped
 symmetrisation would return the same array. Arrays that are Hermitian only
 up to rounding -- outer products v v+ under fused multiply-add,
 eigen-reconstructions -- still go through the public constructors.
+
+`partial_trace` and `embed` validate their labels and dimensions once per
+layout pair: the axis bookkeeping is kept in a bounded cache of plans, and a
+failed check is not cached, so it raises on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -42,6 +47,10 @@ PSD_TOL = 1e-10
 
 #: An operator counts as non-positive iff its minimum eigenvalue is below this.
 VERDICT_TOL = 1e-8
+
+# Layout pairs whose `embed` and `partial_trace` plans are kept, per function:
+# bounded, so a long scan over many shapes does not grow memory without limit.
+_PLAN_CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -254,29 +263,54 @@ def permute_subsystems(x: HermitianOperator, new_labels: Sequence[str]) -> Hermi
     return HermitianOperator._trusted(layout, _permute(x.entries, x.layout.dims, perm))
 
 
-def embed(x: HermitianOperator, full: SubsystemLayout) -> HermitianOperator:
-    """Tensor `x` with identities on the factors of `full` it does not cover."""
-    missing = [lab for lab in full.labels if lab not in x.layout.labels]
-    for lab in x.layout.labels:
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _embed_plan(
+    layout: SubsystemLayout, full: SubsystemLayout
+) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """How `embed` puts an operator on `layout` into `full`: the permutation
+    of its tensor axes into full's order, the shape that broadcasts them
+    against the missing factors, and the read-only identity tensor over
+    those factors (shaped alike)."""
+    for lab in layout.labels:
         if lab not in full.labels:
             raise UnknownLabel(f"label {lab!r} not in target layout {full.labels}")
-        if full.dim_of(lab) != x.layout.dim_of(lab):
+        if full.dim_of(lab) != layout.dim_of(lab):
             raise DimensionError(f"dimension mismatch on label {lab!r}")
-    rest = tuple(full.dim_of(s) for s in missing)
-    m = _kron(x.entries, np.eye(math.prod(rest)))
-    labels = x.layout.labels + tuple(missing)
-    perm = [labels.index(lab) for lab in full.labels]
-    return HermitianOperator._trusted(full, _permute(m, x.layout.dims + rest, perm))
+    n = layout.n_subsystems
+    order = [layout.axis(lab) for lab in full.labels if lab in layout.labels]
+    present = [lab in layout.labels for lab in full.labels]
+    shape = tuple(d if p else 1 for d, p in zip(full.dims, present)) * 2
+    rest = tuple(1 if p else d for d, p in zip(full.dims, present)) * 2
+    ident = np.eye(math.prod(rest[: full.n_subsystems])).reshape(rest)
+    ident.setflags(write=False)
+    return tuple(order + [n + p for p in order]), shape, ident
+
+
+def embed(x: HermitianOperator, full: SubsystemLayout) -> HermitianOperator:
+    """Tensor `x` with identities on the factors of `full` it does not cover."""
+    perm, shape, ident = _embed_plan(x.layout, full)
+    t = x.entries.reshape(x.layout.dims * 2).transpose(perm).reshape(shape)
+    d = full.total_dim
+    return HermitianOperator._trusted(full, (t * ident).reshape(d, d))
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _trace_plan(
+    layout: SubsystemLayout, keep: frozenset
+) -> tuple[SubsystemLayout, tuple[int, ...]]:
+    """The layout `partial_trace` keeps and the axes it traces, back to front
+    so that earlier axis indices stay valid."""
+    kept = layout.restrict(keep)
+    axes = [ax for ax, lab in enumerate(layout.labels) if lab not in kept.labels]
+    return kept, tuple(reversed(axes))
 
 
 def partial_trace(x: HermitianOperator, keep: Iterable[str]) -> HermitianOperator:
     """Trace out every subsystem not in `keep`; kept factors stay in layout order."""
-    layout = x.layout.restrict(keep)
+    layout, axes = _trace_plan(x.layout, frozenset(keep))
     t = x.entries.reshape(x.layout.dims * 2)
-    # trace axes from the back so earlier axis indices stay valid
-    for ax in reversed(range(x.layout.n_subsystems)):
-        if x.layout.labels[ax] not in layout.labels:
-            t = t.trace(axis1=ax, axis2=t.ndim // 2 + ax)
+    for ax in axes:
+        t = t.trace(axis1=ax, axis2=t.ndim // 2 + ax)
     d = layout.total_dim
     return HermitianOperator._trusted(layout, t.reshape(d, d))
 

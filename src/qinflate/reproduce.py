@@ -48,10 +48,11 @@ from .states import (
 )
 from .witness import (
     QUTRIT_MIXED_REFERENCE,
-    _joint_delta,
     cut_witness_classical,
     cut_witness_quantum,
     fidelity_witness,
+    hall_delta,
+    marginals_of,
     pure_delta_structure,
     supp_ker_test,
     toth_acin_eigs,
@@ -271,7 +272,7 @@ def claim_ac10(rng: np.random.Generator) -> list[CheckRow]:
         dims = tuple(int(d) for d in rng.integers(2, 4, size=3))
         lay = SubsystemLayout(dims, ("A", "B", "C"))
         rho = random_density_matrix(lay, rng)
-        worst = min(worst, _joint_delta(rho).min_eigenvalue())
+        worst = min(worst, hall_delta(marginals_of(rho)).min_eigenvalue())
     rows.append(_bool_row("joint-marginal operator PSD over 1000 states", worst >= -1e-9))
 
     # Correlated pair marginals always have a negative difference eigenvalue:
@@ -313,7 +314,7 @@ def claim_ac10(rng: np.random.Generator) -> list[CheckRow]:
     for _ in range(500):
         psi = random_pure_state(lay2, rng)
         rho = psi.to_density()
-        delta = _joint_delta(rho)
+        delta = hall_delta(marginals_of(rho))
         rank = int(np.sum(np.abs(delta.spectrum.eigenvalues) > 1e-8))
         dev = np.max(np.abs(delta.entries - (rho.entries + pure_delta_structure(psi).entries)))
         if rank > 2 or dev > 1e-9:

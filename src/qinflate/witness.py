@@ -5,7 +5,9 @@ cut witnesses I_xy, quantum and classical. I_xy is Delta on the marginals of
 the cut inflation, where x and y share no source, so rho_xy becomes
 rho_x (x) rho_y: one loop serves Delta and I_xy. The classical cut witness is
 the diagonal of I_xy on the encoded distribution, written out pointwise on the
-probability tensor. Also renders verdicts and implements the structural checks
+probability tensor. `marginals_of` returns the marginals of one joint state
+as a read-only mapping, which `hall_delta` trusts to agree on overlaps; any
+other mapping of marginals is checked. Also renders verdicts and implements the structural checks
 used throughout: support/kernel intersection, the antiunitary decomposition
 of Delta for pure three-qubit states, fidelity flags, and the closed-form
 spectra of the named state families.
@@ -14,8 +16,9 @@ spectra of the named state families.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -131,10 +134,12 @@ def _inclusion_exclusion(
 ) -> HermitianOperator:
     """1 + sum of (-1)^|S| m_S (x) 1 over terms m_S on |S| factors, in the order
     given, embedded into (and labelled as) `full`."""
-    acc = np.eye(full.total_dim)
+    acc = np.eye(full.total_dim, dtype=complex)
     for m in terms:
-        sign = -1.0 if m.layout.n_subsystems % 2 else 1.0
-        acc = acc + sign * embed(m, full).entries
+        if m.layout.n_subsystems % 2:
+            acc -= embed(m, full).entries
+        else:
+            acc += embed(m, full).entries
     return HermitianOperator._trusted(full, acc)
 
 
@@ -144,7 +149,10 @@ def hall_delta(marginals: Mapping[frozenset, DensityMatrix]) -> WitnessOperator:
     Delta = sum over proper subsets X of the node set of (-1)^|X| sigma_X (x) 1,
     the empty set contributing +1. Positive semidefinite whenever the
     marginals come from a single joint state on an odd number of nodes.
+    The read-only mapping `marginals_of` returns is trusted to agree on
+    overlaps; any other mapping is checked to within EQUIMARGINAL_TOL.
     """
+    trusted = type(marginals) is _JointMarginals
     marginals = {frozenset(k): v for k, v in marginals.items() if k}
     labels = sorted(set().union(*marginals))
     n = len(labels)
@@ -156,40 +164,58 @@ def hall_delta(marginals: Mapping[frozenset, DensityMatrix]) -> WitnessOperator:
                 raise MissingMarginal(f"missing marginal for {combo}")
     dims = tuple(marginals[frozenset({lab})].layout.total_dim for lab in labels)
     full = SubsystemLayout(dims, tuple(labels))
-    _check_equimarginal(marginals)
+    if not trusted:
+        _check_equimarginal(marginals)
     return WitnessOperator(
         _inclusion_exclusion([rho.op for rho in marginals.values()], full), "hall_delta"
     )
 
 
-def _joint_delta(rho: DensityMatrix) -> WitnessOperator:
-    """`hall_delta(marginals_of(rho))` for a three-party state, bit for bit,
-    without the equimarginal check: the marginals of one joint state agree by
-    construction."""
-    terms = [m.op for m in marginals_of(rho).values()]
-    return WitnessOperator(_inclusion_exclusion(terms, rho.layout.sorted()), "hall_delta")
+class _JointMarginals(Mapping):
+    """`marginals_of`'s read-only result, the one type `hall_delta` trusts."""
+
+    def __init__(self, marginals: dict[frozenset, DensityMatrix]) -> None:
+        self._marginals = marginals
+
+    def __getitem__(self, key: frozenset) -> DensityMatrix:
+        return self._marginals[key]
+
+    def __iter__(self):
+        return iter(self._marginals)
+
+    def __len__(self) -> int:
+        return len(self._marginals)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._marginals!r})"
 
 
-def marginals_of(rho: DensityMatrix) -> dict[frozenset, DensityMatrix]:
-    """All proper nonempty subset marginals of a joint state.
+def marginals_of(rho: DensityMatrix) -> Mapping[frozenset, DensityMatrix]:
+    """All proper nonempty subset marginals of a joint state, read-only.
 
     Each is a density matrix by construction and is not re-checked: the
     positivity tolerance of the joint state would otherwise be multiplied by
-    the traced-out dimension.
+    the traced-out dimension. They agree on overlaps by construction too, so
+    `hall_delta` trusts the returned mapping; a mutable copy (`dict(...)`) is
+    checked like any other input.
     """
     labels = rho.layout.labels
     out: dict[frozenset, DensityMatrix] = {}
     for r in range(1, len(labels)):
         for combo in itertools.combinations(labels, r):
             out[frozenset(combo)] = DensityMatrix._trusted(partial_trace(rho.op, set(combo)))
-    return out
+    return _JointMarginals(out)
 
 
 def _cut_labels(labels: tuple[str, ...], cut: tuple[str, str]) -> tuple[str, str, str]:
     """(x, y, z) for a cut (x, y) of three labels, z being the third."""
-    x, y = cut
-    if x == y or x not in labels or y not in labels:
-        raise UnknownLabel(f"cut ({x}, {y}) must name two distinct labels of {labels}")
+    try:
+        x, y = cut
+    except (TypeError, ValueError):
+        x = y = None
+    if (isinstance(cut, str) or not isinstance(x, str) or not isinstance(y, str)
+            or x == y or x not in labels or y not in labels):
+        raise UnknownLabel(f"cut {cut!r} must be a pair of distinct labels of {labels}")
     (z,) = [lab for lab in labels if lab not in (x, y)]
     return x, y, z
 
@@ -280,6 +306,7 @@ def supp_ker_test(rho: DensityMatrix, cuts: Iterable[tuple[str, str]]) -> list[b
     """
     if rho.layout.n_subsystems != 3:
         raise DimensionError("support/kernel test needs exactly three subsystems")
+    cuts = [_cut_labels(rho.layout.labels, cut)[:2] for cut in cuts]
     full = rho.layout.sorted()
     ker = None
     out = []
@@ -287,7 +314,7 @@ def supp_ker_test(rho: DensityMatrix, cuts: Iterable[tuple[str, str]]) -> list[b
         nu = hermitian_eig(embed(nu_decomposition(rho, x, y).nu_minus, full))
         supp = nu.eigenvectors[:, nu.eigenvalues > DEFAULT_RANK_TOL]
         if ker is None and supp.size:
-            delta = _joint_delta(rho).spectrum
+            delta = hall_delta(marginals_of(rho)).spectrum
             ker = delta.eigenvectors[:, np.abs(delta.eigenvalues) <= DEFAULT_RANK_TOL]
         cos = np.linalg.norm(supp.conj().T @ ker, 2) if supp.size else 0.0
         out.append(bool(cos**2 >= 1.0 - DEFAULT_ANGLE_TOL))

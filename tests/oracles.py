@@ -110,6 +110,37 @@ def partial_trace_oracle(m: np.ndarray, dims: tuple[int, ...], keep: tuple[int, 
     return out
 
 
+def embed_oracle(
+    m: np.ndarray,
+    labels: tuple[str, ...],
+    full_dims: tuple[int, ...],
+    full_labels: tuple[str, ...],
+) -> np.ndarray:
+    """m (x) identity on the factors of the full layout that `labels` lacks,
+    entry by entry: the entry at row and column multi-indices (in full's
+    factor order) is m at those indices restricted to `labels` (in m's own
+    order) when the two agree on every missing factor, and 0 otherwise."""
+    import itertools
+
+    pos = [full_labels.index(lab) for lab in labels]
+    missing = [k for k, lab in enumerate(full_labels) if lab not in labels]
+
+    def flat(idx: tuple[int, ...]) -> int:
+        f = 0
+        for p in pos:
+            f = f * full_dims[p] + idx[p]
+        return f
+
+    index_sets = list(itertools.product(*[range(d) for d in full_dims]))
+    side = len(index_sets)
+    out = np.zeros((side, side), dtype=complex)
+    for r, row in enumerate(index_sets):
+        for c, col in enumerate(index_sets):
+            if all(row[k] == col[k] for k in missing):
+                out[r, c] = m[flat(row), flat(col)]
+    return out
+
+
 def ancestors_oracle(
     edges: set[tuple[str, str]], node: str, all_nodes: set[str]
 ) -> set[str]:

@@ -27,7 +27,7 @@ from qinflate.linalg import (
 )
 from qinflate.states import ghz_state, random_density_matrix
 
-from oracles import eig2x2, jacobi_eigh, kron_oracle, partial_trace_oracle
+from oracles import eig2x2, embed_oracle, jacobi_eigh, kron_oracle, partial_trace_oracle
 
 RNG = np.random.default_rng(20260823)
 
@@ -233,6 +233,41 @@ class TestEmbedPermute:
         np.testing.assert_allclose(
             partial_trace(out, {"A"}).entries, 4 * a.entries, atol=1e-12
         )
+
+    def test_embed_matches_oracle(self):
+        # 1-5 parties, local dimensions 1-4 (total dimension at most 96, to
+        # keep the entry-by-entry oracle quick), labels in random order, no,
+        # one or several factors missing from the embedded operator
+        rng = np.random.default_rng(31)
+        missing = []
+        while len(missing) < 60:
+            n = int(rng.integers(1, 6))
+            dims = tuple(int(d) for d in rng.integers(1, 5, size=n))
+            if np.prod(dims) > 96:
+                continue
+            labels = tuple(str(s) for s in rng.permutation(list("ABCDE"))[:n])
+            full = SubsystemLayout(dims, labels)
+            k = int(rng.integers(1, n + 1))
+            sub_labels = tuple(str(s) for s in rng.permutation(labels)[:k])
+            sub = SubsystemLayout(tuple(full.dim_of(lab) for lab in sub_labels), sub_labels)
+            x = random_hermitian(sub, rng)
+            got = embed(x, full)
+            assert got.layout == full
+            assert np.array_equal(got.entries, embed_oracle(x.entries, sub_labels, dims, labels))
+            missing.append(n - k)
+        assert {0, 1, 2, 3} <= set(missing)
+
+    def test_failed_checks_raise_on_every_call(self):
+        # a failed check is never cached as a plan
+        stray = random_hermitian(SubsystemLayout((2,), ("Z",)))
+        wide = random_hermitian(SubsystemLayout((3,), ("A",)))
+        for _ in range(2):
+            with pytest.raises(UnknownLabel):
+                embed(stray, QUBIT3)
+            with pytest.raises(DimensionError):
+                embed(wide, QUBIT3)
+            with pytest.raises(UnknownLabel):
+                partial_trace(random_hermitian(QUBIT3), {"Z"})
 
     def test_permute_roundtrip(self):
         x = random_hermitian(QUBIT3)

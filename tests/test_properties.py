@@ -40,7 +40,6 @@ from qinflate.states import (
     random_pure_state,
 )
 from qinflate.witness import (
-    _joint_delta,
     cut_witness_classical,
     cut_witness_quantum,
     hall_delta,
@@ -198,11 +197,12 @@ def test_witnesses_are_exactly_hermitian(dims, labels, seed, cut, pure):
 @SETTINGS
 @given(st.tuples(*[st.integers(1, 4)] * 3), st.permutations("ABC"), seeds)
 def test_joint_delta_is_checked_delta(dims, labels, seed):
-    # The support/kernel test builds Delta from the joint state without the
-    # equimarginal check; it must be the checked Delta bit for bit.
+    # hall_delta trusts the read-only marginals of one joint state and skips
+    # the equimarginal check; a plain dict copy runs it. Both give the same
+    # Delta bit for bit.
     rho = random_density_matrix(SubsystemLayout(dims, tuple(labels)), np.random.default_rng(seed))
-    delta = _joint_delta(rho)
-    checked = hall_delta(marginals_of(rho))
+    delta = hall_delta(marginals_of(rho))
+    checked = hall_delta(dict(marginals_of(rho)))
     assert delta.layout == checked.layout
     assert np.array_equal(delta.entries, checked.entries)
     assert delta.min_eigenvalue() >= -1e-9

@@ -112,13 +112,13 @@ class TestHallDelta:
 
     def test_missing_marginal_rejected(self):
         rho = ghz_state().to_density()
-        margs = marginals_of(rho)
+        margs = dict(marginals_of(rho))
         del margs[frozenset({"A", "B"})]
         with pytest.raises(MissingMarginal):
             hall_delta(margs)
 
     def test_inconsistent_marginals_rejected(self):
-        margs = marginals_of(ghz_state().to_density())
+        margs = dict(marginals_of(ghz_state().to_density()))
         other = marginals_of(w_state().to_density())
         margs[frozenset({"A"})] = other[frozenset({"A"})]
         # W and GHZ single-site marginals coincide; perturb instead
@@ -129,6 +129,14 @@ class TestHallDelta:
         margs[frozenset({"A"})] = skew
         with pytest.raises(InconsistentMarginals):
             hall_delta(margs)
+
+    def test_marginals_of_is_read_only(self):
+        margs = marginals_of(ghz_state().to_density())
+        with pytest.raises(TypeError):
+            margs[frozenset({"A"})] = margs[frozenset({"B"})]
+        with pytest.raises(TypeError):
+            del margs[frozenset({"A", "B"})]
+        assert len(margs) == 6
 
     def test_witness_decomposition_identity(self):
         # I_xy equals Delta plus (rho_x (x) rho_y - rho_xy) (x) 1_z
@@ -220,6 +228,12 @@ class TestCutWitness:
             cut_witness_quantum(rho, ("A", "A"))
         with pytest.raises(UnknownLabel):
             cut_witness_quantum(rho, ("A", "X"))
+
+    def test_rejects_a_cut_that_is_not_a_pair(self):
+        rho = ghz_state().to_density()
+        for cut in (("A",), ("A", "B", "C"), "AB", None, (1, 2)):
+            with pytest.raises(UnknownLabel):
+                cut_witness_quantum(rho, cut)
 
     def test_rejects_wrong_arity(self):
         layout = SubsystemLayout((2, 2), ("A", "B"))
@@ -326,6 +340,14 @@ class TestSuppKerTest:
     def test_fires_on_ghz(self):
         rho = ghz_state().to_density()
         assert any(supp_ker_test(rho, CUTS))
+
+    def test_rejects_a_single_cut_passed_as_the_list(self):
+        # one cut where a list of cuts belongs is refused before any work
+        rho = ghz_state().to_density()
+        with pytest.raises(UnknownLabel):
+            supp_ker_test(rho, ("A", "B"))
+        with pytest.raises(UnknownLabel):
+            supp_ker_test(rho, [("A", "B"), ("A", "X")])
 
     def test_sound_when_it_fires(self):
         # whenever the support/kernel criterion fires, the same cut's witness
