@@ -15,7 +15,7 @@ from typing import Any, Optional, Union
 import numpy as np
 
 from .dag import build_triangle, injectable_sets, is_inflation, is_nonfanout, parse_dag
-from .errors import QInflateError
+from .errors import InvalidParameter, QInflateError
 from .linalg import VERDICT_TOL, DensityMatrix, HermitianOperator, SubsystemLayout
 from .opt import sweep_tri_bell
 from .reproduce import CLAIMS, run_all, run_claim
@@ -84,10 +84,17 @@ def _is_finite_number(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidParameter(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def load_state(path: str) -> Union[DensityMatrix, Distribution]:
     """Parse a JSON state file into a density matrix or a distribution."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = json.loads(_read_text(path))
     if not isinstance(obj, dict):
         raise QInflateError("a state file must hold a JSON object")
     for key in ("kind", "data"):
@@ -267,11 +274,12 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, count = spec.split(":")
-        if int(count) >= 1:
-            return np.linspace(float(start), float(stop), int(count))
+        ends = float(start), float(stop)
+        if int(count) >= 1 and np.isfinite(ends).all():
+            return np.linspace(*ends, int(count))
     except ValueError:
         pass
-    raise QInflateError(f"grid must be start:stop:count with count >= 1, got {spec!r}")
+    raise QInflateError(f"grid must be start:stop:count with finite ends and count >= 1, got {spec!r}")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -320,13 +328,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_dag(args: argparse.Namespace) -> int:
-    with open(args.inflated) as fh:
-        gp = parse_dag(fh.read())
-    if args.original:
-        with open(args.original) as fh:
-            g = parse_dag(fh.read())
-    else:
-        g = build_triangle()
+    gp = parse_dag(_read_text(args.inflated))
+    g = parse_dag(_read_text(args.original)) if args.original else build_triangle()
     if args.action == "check":
         infl = is_inflation(gp, g)
         nonfan = is_nonfanout(gp, g) if infl else False

@@ -1,14 +1,17 @@
 """Partitioned DAGs, inflations, injectable sets, and marginal independences.
 
 A partitioned DAG separates visible from latent nodes; latents are exogenous
-common causes. An inflation reuses copies of the original nodes such that
-every node keeps an ancestral subgraph matching its base node's, up to copy
-indices. These combinatorics justify which marginal substitutions the cut
-witnesses are allowed to make.
+common causes. A set of nodes of an inflation is injectable when its
+ancestors carry at most one copy of each original node and, with copy
+indices dropped, have the same kinds and the same edges as the ancestors of
+its image in the original; the inflation itself is the case where every
+single node is injectable. These combinatorics justify which marginal
+substitutions the cut witnesses are allowed to make.
 """
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
@@ -55,32 +58,19 @@ class PartitionedDag:
         if len(set(names)) != len(names):
             raise DuplicateLabel(f"repeated node names in {names}")
         by_name = {n.name: n for n in self.nodes}
+        sorter = graphlib.TopologicalSorter()
         for parent, child in self.edges:
             for end in (parent, child):
                 if end not in by_name:
                     raise UnknownLabel(f"edge endpoint {end!r} is not a declared node")
             if by_name[child].kind == LATENT:
                 raise InvalidParameter(f"latent node {child!r} has an incoming edge")
-        if self._has_cycle():
-            raise InvalidParameter("graph contains a directed cycle")
+            sorter.add(child, parent)
+        try:
+            sorter.prepare()
+        except graphlib.CycleError:
+            raise InvalidParameter("graph contains a directed cycle") from None
         object.__setattr__(self, "edges", frozenset(self.edges))
-
-    def _has_cycle(self) -> bool:
-        children: dict[str, list[str]] = {n.name: [] for n in self.nodes}
-        indeg = {n.name: 0 for n in self.nodes}
-        for p, c in self.edges:
-            children[p].append(c)
-            indeg[c] += 1
-        queue = [n for n, d in indeg.items() if d == 0]
-        seen = 0
-        while queue:
-            cur = queue.pop()
-            seen += 1
-            for ch in children[cur]:
-                indeg[ch] -= 1
-                if indeg[ch] == 0:
-                    queue.append(ch)
-        return seen != len(self.nodes)
 
     def node(self, name: str) -> DagNode:
         for n in self.nodes:
@@ -112,13 +102,6 @@ class PartitionedDag:
             frontier |= self.parents(cur) - closed
         return closed
 
-    def ancestral_subgraph(self, names: Iterable[str]) -> "PartitionedDag":
-        anc = self.ancestors(names)
-        return PartitionedDag(
-            tuple(n for n in self.nodes if n.name in anc),
-            frozenset((p, c) for p, c in self.edges if p in anc and c in anc),
-        )
-
 
 def build_triangle() -> PartitionedDag:
     """Three visibles A, B, C, each pair fed by its own latent common cause."""
@@ -132,76 +115,57 @@ def build_triangle() -> PartitionedDag:
     return PartitionedDag(nodes, edges)
 
 
-_SHARED_LATENT = {
-    frozenset("AB"): "M",
-    frozenset("AC"): "L",
-    frozenset("BC"): "N",
-}
-
-
 def build_cut_inflation(cut: tuple[str, str]) -> PartitionedDag:
     """Triangle inflation that duplicates the latent shared by the cut pair.
 
     Copy 2 of the duplicated latent feeds the first cut node, copy 1 feeds
     the second, so the two cut nodes lose their common ancestor.
     """
-    x, y = cut
-    key = frozenset((x, y))
-    if key not in _SHARED_LATENT:
-        raise DomainError(f"cut must name two distinct visible nodes of ABC, got {cut}")
-    dup = _SHARED_LATENT[key]
     triangle = build_triangle()
+    shared = [
+        l for l in triangle.latent_names if {c for p, c in triangle.edges if p == l} == set(cut)
+    ]
+    if len(cut) != 2 or not shared:
+        raise DomainError(f"cut must name two distinct visible nodes of ABC, got {cut}")
+    (dup,) = shared
     nodes = [DagNode(f"{v}1", VISIBLE, v, 1) for v in "ABC"]
     nodes += [DagNode(f"{l}1", LATENT, l, 1) for l in "LMN"]
     nodes.append(DagNode(f"{dup}2", LATENT, dup, 2))
     edges = set()
     for l, v in triangle.edges:
         if l == dup:
-            copy = 2 if v == x else 1
+            copy = 2 if v == cut[0] else 1
             edges.add((f"{dup}{copy}", f"{v}1"))
         else:
             edges.add((f"{l}1", f"{v}1"))
     return PartitionedDag(tuple(nodes), frozenset(edges))
 
 
-def _base_edge_set(g: PartitionedDag) -> frozenset[tuple[str, str]]:
-    return frozenset((g.node(p).base_name, g.node(c).base_name) for p, c in g.edges)
-
-
-def _matches_up_to_copies(sub_gp: PartitionedDag, sub_g: PartitionedDag) -> bool:
-    """Equality of two ancestral subgraphs after dropping copy indices.
-
-    Valid only when sub_gp holds at most one copy of each base name, which
-    makes base-name relabeling a bijection onto sub_g's nodes.
-    """
-    bases = [n.base_name for n in sub_gp.nodes]
-    if len(set(bases)) != len(bases):
+def _injects(gp: PartitionedDag, g: PartitionedDag, names: Iterable[str],
+             images: Iterable[str]) -> bool:
+    """True iff the ancestors of `names` in gp hold at most one copy of each
+    base and, renamed to their bases, have the kinds and edges of the
+    ancestors of `images` in g."""
+    base = {n.name: n.base_name for n in gp.nodes}
+    anc = gp.ancestors(names)
+    if len({base[a] for a in anc}) != len(anc):
         return False
-    if set(bases) != {n.name for n in sub_g.nodes}:
-        return False
-    kinds_gp = {n.base_name: n.kind for n in sub_gp.nodes}
-    kinds_g = {n.name: n.kind for n in sub_g.nodes}
-    if kinds_gp != kinds_g:
-        return False
-    return _base_edge_set(sub_gp) == _base_edge_set(sub_g)
-
-
-def _check_bases(gp: PartitionedDag, g: PartitionedDag) -> None:
-    known = {n.name for n in g.nodes}
-    for n in gp.nodes:
-        if n.base_name not in known:
-            raise UnknownBase(f"node {n.name!r} has base {n.base_name!r} absent from the original")
+    anc_g = g.ancestors(images)
+    return (
+        {(base[n.name], n.kind) for n in gp.nodes if n.name in anc}
+        == {(n.name, n.kind) for n in g.nodes if n.name in anc_g}
+        and {(base[p], base[c]) for p, c in gp.edges if c in anc}
+        == {(p, c) for p, c in g.edges if c in anc_g}
+    )
 
 
 def is_inflation(gp: PartitionedDag, g: PartitionedDag) -> bool:
     """True iff every node of gp has an ancestral subgraph matching its base's."""
-    _check_bases(gp, g)
+    known = {n.name for n in g.nodes}
     for n in gp.nodes:
-        sub_gp = gp.ancestral_subgraph([n.name])
-        sub_g = g.ancestral_subgraph([n.base_name])
-        if not _matches_up_to_copies(sub_gp, sub_g):
-            return False
-    return True
+        if n.base_name not in known:
+            raise UnknownBase(f"node {n.name!r} has base {n.base_name!r} absent from the original")
+    return all(_injects(gp, g, [n.name], [n.base_name]) for n in gp.nodes)
 
 
 @dataclass(frozen=True)
@@ -222,11 +186,7 @@ def injectable_sets(gp: PartitionedDag, g: PartitionedDag) -> InjectableSetRepor
     for r in range(1, len(visibles) + 1):
         for combo in itertools.combinations(visibles, r):
             bases = tuple(gp.node(n).base_name for n in combo)
-            if len(set(bases)) != len(bases):
-                continue
-            sub_gp = gp.ancestral_subgraph(combo)
-            sub_g = g.ancestral_subgraph(bases)
-            if _matches_up_to_copies(sub_gp, sub_g):
+            if _injects(gp, g, combo, bases):
                 sets.append(combo)
                 images.append(bases)
     return InjectableSetReport(tuple(sets), tuple(images))
@@ -248,13 +208,9 @@ def marginal_independent_pairs(g: PartitionedDag) -> set[tuple[str, str]]:
     for v in g.visible_names:
         if any(g.node(p).kind != LATENT for p in g.parents(v)):
             raise NotANetwork(f"visible node {v!r} has a visible parent")
-    out: set[tuple[str, str]] = set()
-    for a, b in itertools.combinations(sorted(g.visible_names), 2):
-        anc_a = {p for p in g.ancestors([a]) if g.node(p).kind == LATENT}
-        anc_b = {p for p in g.ancestors([b]) if g.node(p).kind == LATENT}
-        if not anc_a & anc_b:
-            out.add((a, b))
-    return out
+    latents = set(g.latent_names)
+    anc = {v: g.ancestors([v]) & latents for v in g.visible_names}
+    return {(a, b) for a, b in itertools.combinations(sorted(anc), 2) if not anc[a] & anc[b]}
 
 
 def parse_dag(text: str) -> PartitionedDag:
@@ -278,7 +234,7 @@ def parse_dag(text: str) -> PartitionedDag:
             name, kind = parts[1], parts[2]
             copy = 0
             if len(parts) == 4:
-                if not parts[3].startswith("copy="):
+                if not parts[3].startswith("copy=") or not parts[3][5:].isdecimal():
                     raise InvalidParameter(f"line {lineno}: expected 'copy=<k>', got {parts[3]!r}")
                 copy = int(parts[3][5:])
             base = name

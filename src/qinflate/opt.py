@@ -204,6 +204,8 @@ def product_min(w: WitnessOperator, restarts: int,
     layout = w.layout
     if layout.n_subsystems != 3:
         raise DomainError("product search covers three subsystems")
+    if restarts < 1:
+        raise DomainError(f"product search needs restarts >= 1, got {restarts}")
     dims = layout.dims
     ends = np.cumsum([2 * (d - 1) for d in dims]).tolist()
     spans = list(zip([0] + ends[:-1], ends, dims))

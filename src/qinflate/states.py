@@ -87,6 +87,8 @@ class Distribution:
 
     def __post_init__(self) -> None:
         dims = tuple(int(d) for d in self.outcome_dims)
+        if any(d < 1 for d in dims):
+            raise DimensionError(f"outcome dimensions must be >= 1, got {dims}")
         object.__setattr__(self, "outcome_dims", dims)
         p = np.array(self.probs, dtype=float).reshape(-1)
         if p.shape != (int(np.prod(dims)),):

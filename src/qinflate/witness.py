@@ -269,8 +269,11 @@ def verdict(
     """Witnessed incompatibility iff the minimum eigenvalue/entry is < -tol.
 
     A nonnegative witness is never proof of compatibility, hence the
-    inconclusive branch carries no evidence. A non-finite witness raises.
+    inconclusive branch carries no evidence. A non-finite witness, or a
+    tolerance that is not a finite number >= 0, raises.
     """
+    if not 0.0 <= tol < np.inf:  # False for NaN too
+        raise InvalidParameter(f"verdict tolerance must be finite and >= 0, got {tol!r}")
     is_op = isinstance(w, WitnessOperator)
     t = w.spectrum.eigenvalues if is_op else np.asarray(w, dtype=float)
     if not np.isfinite(t).all():

@@ -156,6 +156,68 @@ def ancestors_oracle(
     return anc & all_nodes
 
 
+def dag_oracle(
+    gp_nodes: dict[str, tuple[str, str]],
+    gp_edges: set[tuple[str, str]],
+    g_nodes: dict[str, tuple[str, str]],
+    g_edges: set[tuple[str, str]],
+) -> dict:
+    """Inflation, nonfanout, injectable sets and independent pairs of gp over g
+    by building each ancestral subgraph explicitly.
+
+    Nodes map a name to (kind, base name); gp's bases name nodes of g. A set
+    S of gp injects iff the ancestral subgraph of S, relabeled by base, is
+    one-to-one and equals the ancestral subgraph of the bases of S in g (same
+    nodes, kinds and edges). gp is an inflation iff every single node
+    injects; "injectable" lists (set, bases) for the injecting visible sets,
+    by size then in node order; "independent" lists the visible pairs of gp
+    with no common latent ancestor, or is None if a visible has a visible
+    parent.
+    """
+    import itertools
+
+    def subgraph(nodes, edges, names):
+        anc = set()
+        for n in names:
+            anc |= ancestors_oracle(edges, n, set(nodes))
+        return {n: nodes[n] for n in anc}, {(p, c) for p, c in edges if p in anc and c in anc}
+
+    def injects(names):
+        sub_nodes, sub_edges = subgraph(gp_nodes, gp_edges, names)
+        img_nodes, img_edges = subgraph(g_nodes, g_edges, [gp_nodes[n][1] for n in names])
+        relabel = {n: base for n, (kind, base) in sub_nodes.items()}
+        if len(set(relabel.values())) != len(relabel):
+            return False
+        kinds = {relabel[n]: kind for n, (kind, base) in sub_nodes.items()}
+        return kinds == {n: kind for n, (kind, base) in img_nodes.items()} and {
+            (relabel[p], relabel[c]) for p, c in sub_edges
+        } == img_edges
+
+    visibles = [n for n, (kind, base) in gp_nodes.items() if kind == "visible"]
+    out: dict = {"inflation": all(injects([n]) for n in gp_nodes)}
+    out["nonfanout"] = all(
+        len({gp_nodes[c][1] for p, c in gp_edges if p == lat})
+        == len([c for p, c in gp_edges if p == lat])
+        for lat, (kind, base) in gp_nodes.items() if kind == "latent"
+    )
+    out["injectable"] = [
+        (combo, tuple(gp_nodes[n][1] for n in combo))
+        for r in range(1, len(visibles) + 1)
+        for combo in itertools.combinations(visibles, r)
+        if injects(combo)
+    ]
+    latent_anc = {
+        v: {a for a in ancestors_oracle(gp_edges, v, set(gp_nodes)) if gp_nodes[a][0] == "latent"}
+        for v in visibles
+    }
+    network = all(gp_nodes[p][0] == "latent" for p, c in gp_edges if c in visibles)
+    out["independent"] = {
+        (a, b) for a, b in itertools.combinations(sorted(visibles), 2)
+        if not latent_anc[a] & latent_anc[b]
+    } if network else None
+    return out
+
+
 def classical_cut_tensor_oracle(p: np.ndarray, ax: int, ay: int) -> np.ndarray:
     """Pointwise cut inequality for a 3-variable distribution by explicit loops."""
     dims = p.shape

@@ -195,6 +195,18 @@ class TestWitnessCommand:
         assert main(["witness", "/nonexistent/state.json"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_bytes(b'{"kind": "family", "data": "\xff"}')
+        assert main(["witness", str(path)]) == 1
+        assert "is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance(self, tmp_path, capsys, tol):
+        path = write_family(tmp_path, "ghz")
+        assert main(["witness", path, "--tol", tol]) == 1
+        assert "tolerance" in capsys.readouterr().err
+
     def test_tol_override(self, tmp_path, capsys):
         # with a huge tolerance even GHZ looks inconclusive
         path = write_family(tmp_path, "ghz")
@@ -253,6 +265,15 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not svg.exists()
 
+    @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "1:-inf:2"])
+    def test_non_finite_grid(self, capsys, grid):
+        assert main(["sweep", "werner_ghz", "--grid", grid]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_no_restarts(self, capsys):
+        assert main(["sweep", "tri_bell", "--grid", "0.6:0.9:2", "--restarts", "0"]) == 1
+        assert "restarts" in capsys.readouterr().err
+
     def test_out_of_domain_grid(self, tmp_path, capsys):
         assert main(["sweep", "tri_bell", "--grid", "0.1:0.2:2", "--restarts", "1"]) == 1
 
@@ -291,6 +312,45 @@ class TestDagCommand:
         path.write_text("node A visible\nnode B visible\nedge A B\nedge B A\n")
         assert main(["dag", "check", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut, lines", [
+        ("AB", ["{A1,C1} -> {A,C}", "{B1,C1} -> {B,C}"]),
+        ("AC", ["{A1,B1} -> {A,B}", "{B1,C1} -> {B,C}"]),
+        ("BC", ["{A1,B1} -> {A,B}", "{A1,C1} -> {A,C}"]),
+    ])
+    def test_injectables_of_each_cut(self, tmp_path, capsys, cut, lines):
+        from qinflate.dag import build_cut_inflation, format_dag
+
+        path = tmp_path / "cut.dag"
+        path.write_text(format_dag(build_cut_inflation(tuple(cut))))
+        assert main(["dag", "injectables", str(path)]) == 0
+        singles = ["{A1} -> {A}", "{B1} -> {B}", "{C1} -> {C}"]
+        assert capsys.readouterr().out == "\n".join(singles + lines) + "\n"
+
+    def test_fanout_check(self, tmp_path, capsys):
+        path = tmp_path / "fanout.dag"
+        path.write_text(
+            "".join(f"node {n} {k} copy={n[1]}\n" for n, k in [
+                ("A1", "visible"), ("A2", "visible"), ("B1", "visible"), ("C1", "visible"),
+                ("L1", "latent"), ("M1", "latent"), ("M2", "latent"), ("N1", "latent"),
+            ])
+            + "edge L1 A1\nedge L1 A2\nedge L1 C1\nedge M1 A1\nedge M2 A2\n"
+            "edge M1 B1\nedge N1 B1\nedge N1 C1\n"
+        )
+        assert main(["dag", "check", str(path)]) == 0
+        assert capsys.readouterr().out == "inflation: yes, nonfanout: no\n"
+
+    def test_malformed_copy_index(self, tmp_path, capsys):
+        path = tmp_path / "bad.dag"
+        path.write_text("node A1 visible copy=x\n")
+        assert main(["dag", "check", str(path)]) == 1
+        assert "line 1" in capsys.readouterr().err
+
+    def test_non_utf8_dag_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.dag"
+        path.write_bytes(b"node A visible\n# \xe9\n")
+        assert main(["dag", "check", str(path)]) == 1
+        assert "is not UTF-8" in capsys.readouterr().err
 
     def test_not_an_inflation(self, tmp_path, capsys):
         path = tmp_path / "no.dag"

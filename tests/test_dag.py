@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinflate.dag import (
     LATENT,
@@ -30,7 +32,7 @@ from qinflate.errors import (
     UnknownLabel,
 )
 
-from oracles import ancestors_oracle
+from oracles import ancestors_oracle, dag_oracle
 
 CUTS = (("A", "B"), ("A", "C"), ("B", "C"))
 
@@ -72,14 +74,6 @@ class TestPartitionedDag:
     def test_ancestors_of_unknown_node(self):
         with pytest.raises(UnknownLabel):
             build_triangle().ancestors(["Q"])
-
-    def test_ancestral_subgraph_closed(self):
-        g = build_cut_inflation(("A", "B"))
-        sub = g.ancestral_subgraph(["A1", "B1"])
-        names = {n.name for n in sub.nodes}
-        assert names == {"A1", "B1", "L1", "M1", "M2", "N1"}
-        for p, c in sub.edges:
-            assert p in names and c in names
 
 
 class TestCutInflation:
@@ -124,6 +118,19 @@ class TestCutInflation:
             build_cut_inflation(("A", "A"))
         with pytest.raises(DomainError):
             build_cut_inflation(("A", "X"))
+        with pytest.raises(DomainError):
+            build_cut_inflation(("A", "B", "C"))
+
+    def test_copy_indexed_original(self):
+        # a relabeled copy of any graph is an inflation of it, also when the
+        # original's own nodes carry copy indices
+        g = build_cut_inflation(("A", "B"))
+        relabeled = PartitionedDag(
+            tuple(DagNode(f"{n.name}1", n.kind, n.name, 1) for n in g.nodes),
+            frozenset((f"{p}1", f"{c}1") for p, c in g.edges),
+        )
+        assert is_inflation(relabeled, g)
+        assert len(injectable_sets(relabeled, g).sets) == 7
 
     def test_cut_inflations_isomorphic_under_relabeling(self):
         # permuting the visible labels maps one cut inflation onto another
@@ -198,8 +205,8 @@ class TestNonfanout:
             ]
         )
         g = PartitionedDag(nodes, edges)
-        if is_inflation(g, tri):
-            assert not is_nonfanout(g, tri)
+        assert is_inflation(g, tri)
+        assert not is_nonfanout(g, tri)
 
 
 class TestMarginalIndependence:
@@ -252,3 +259,61 @@ class TestTextFormat:
     def test_malformed_node_line(self):
         with pytest.raises(InvalidParameter):
             parse_dag("node A\n")
+
+    @pytest.mark.parametrize("copy", ["copy=x", "copy=", "copy=-1", "copy=1.0"])
+    def test_malformed_copy_index(self, copy):
+        with pytest.raises(InvalidParameter, match="line 2"):
+            parse_dag(f"node A visible\nnode A1 visible {copy}\n")
+
+
+# Random graphs over the triangle's bases: up to two copies of each triangle
+# node, each visible copy fed by one copy (if any) of each latent its base
+# has in the triangle, plus a few arbitrary latent-to-visible or forward
+# visible-to-visible edges. Latents come first in the node order, so an edge
+# from an earlier to a later node never closes a cycle.
+TRIANGLE = build_triangle()
+
+
+@st.composite
+def triangle_copies(draw):
+    counts = {b: draw(st.integers(0, 2)) for b in "ABCLMN"}
+    nodes = [
+        DagNode(f"{b}{k}", TRIANGLE.node(b).kind, b, k)
+        for b in "LMNABC" for k in range(1, counts[b] + 1)
+    ]
+    edges = set()
+    for v in nodes:
+        if v.kind == VISIBLE:
+            for lat in sorted(TRIANGLE.parents(v.base_name)):
+                if counts[lat]:
+                    edges.add((f"{lat}{draw(st.integers(1, counts[lat]))}", v.name))
+    names = [n.name for n in nodes]
+    extra = [(p, c) for i, p in enumerate(names) for c in names[i + 1:] if c[0] in "ABC"]
+    if extra:
+        edges |= draw(st.sets(st.sampled_from(extra), max_size=2))
+    return PartitionedDag(tuple(nodes), frozenset(edges))
+
+
+def _plain(g):
+    return {n.name: (n.kind, n.base_name) for n in g.nodes}, set(g.edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(triangle_copies())
+def test_dag_answers_match_oracle(gp):
+    want = dag_oracle(*_plain(gp), *_plain(TRIANGLE))
+    assert is_inflation(gp, TRIANGLE) == want["inflation"]
+    if want["inflation"]:
+        assert is_nonfanout(gp, TRIANGLE) == want["nonfanout"]
+        rep = injectable_sets(gp, TRIANGLE)
+        assert list(zip(rep.sets, rep.images)) == want["injectable"]
+    else:
+        with pytest.raises(NotAnInflation):
+            is_nonfanout(gp, TRIANGLE)
+        with pytest.raises(NotAnInflation):
+            injectable_sets(gp, TRIANGLE)
+    if want["independent"] is None:
+        with pytest.raises(NotANetwork):
+            marginal_independent_pairs(gp)
+    else:
+        assert marginal_independent_pairs(gp) == want["independent"]

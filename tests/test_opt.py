@@ -243,6 +243,12 @@ class TestProductMin:
         for m in res.bases.matrices:
             assert np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) < 1e-8
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_no_restarts_rejected(self, restarts):
+        w = cut_witness_quantum(ghz_state().to_density(), ("A", "B"))
+        with pytest.raises(DomainError, match="restarts"):
+            product_min(w, restarts=restarts, rng=np.random.default_rng(0))
+
     def test_achieved_by_reported_basis(self):
         rng = np.random.default_rng(26)
         w = cut_witness_quantum(w_state().to_density(), ("A", "B"))

@@ -107,6 +107,11 @@ class TestNonFiniteInput:
         with pytest.raises(InvalidParameter, match="finite"):
             LocalBasis((np.eye(2), u, np.eye(2)))
 
+    @pytest.mark.parametrize("dims, probs", [((-2, -2), [0.25] * 4), ((0, 2), [])])
+    def test_distribution_dimension_below_one(self, dims, probs):
+        with pytest.raises(DimensionError, match=">= 1"):
+            Distribution(dims, probs)
+
 
 class TestTriBell:
     def test_boundary_is_permuted_w(self):

@@ -293,6 +293,14 @@ class TestVerdict:
         assert not verdict(t).witnessed
         assert verdict(t, tol=1e-10).witnessed
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_bad_tolerance_rejected(self, tol):
+        # -1 would call the maximally mixed state (minimum +0.25) witnessed
+        mixed = cut_witness_quantum(white_noise_mixture(ghz_state(), 0.0), ("A", "B"))
+        for w in (mixed, np.array([[0.25]])):
+            with pytest.raises(InvalidParameter, match="tolerance"):
+                verdict(w, tol)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_rejected(self, bad):
         with pytest.raises(InvalidParameter, match="non-finite"):
