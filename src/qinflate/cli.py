@@ -94,7 +94,10 @@ def _read_text(path: str) -> str:
 
 def load_state(path: str) -> Union[DensityMatrix, Distribution]:
     """Parse a JSON state file into a density matrix or a distribution."""
-    obj = json.loads(_read_text(path))
+    try:
+        obj = json.loads(_read_text(path))
+    except RecursionError:
+        raise InvalidParameter(f"{path} nests JSON arrays or objects too deeply") from None
     if not isinstance(obj, dict):
         raise QInflateError("a state file must hold a JSON object")
     for key in ("kind", "data"):

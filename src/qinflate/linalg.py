@@ -21,11 +21,21 @@ eigen-reconstructions -- still go through the public constructors.
 `partial_trace` and `embed` validate their labels and dimensions once per
 layout pair: the axis bookkeeping is kept in a bounded cache of plans, and a
 failed check is not cached, so it raises on every call.
+
+The witnesses need every subset marginal at once and sums of marginals
+tensored with identities. A private marginal map per layout, kept in a cache
+of the same size, does both on raw arrays through one int32 index into the
+d x d matrix, the positions that are diagonal outside each subset: the
+marginals are one gather and one segmented sum (`np.add.reduceat`), and the
+adjoint, 1 + sum_S w_S Y_S (x) 1, is one repeat and one scatter-add
+(`np.bincount`). Both keep conjugate symmetry bit for bit: an entry and its
+mirror sum conjugate terms in the same order.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -48,8 +58,9 @@ PSD_TOL = 1e-10
 #: An operator counts as non-positive iff its minimum eigenvalue is below this.
 VERDICT_TOL = 1e-8
 
-# Layout pairs whose `embed` and `partial_trace` plans are kept, per function:
-# bounded, so a long scan over many shapes does not grow memory without limit.
+# Layout pairs whose `embed` and `partial_trace` plans, and layouts whose
+# marginal maps, are kept, per cache: bounded, so a long scan over many shapes
+# does not grow memory without limit.
 _PLAN_CACHE_SIZE = 512
 
 
@@ -313,6 +324,70 @@ def partial_trace(x: HermitianOperator, keep: Iterable[str]) -> HermitianOperato
         t = t.trace(axis1=ax, axis2=t.ndim // 2 + ax)
     d = layout.total_dim
     return HermitianOperator._trusted(layout, t.reshape(d, d))
+
+
+class _MarginalMap:
+    """The marginals of a raw d x d matrix on `layout` on every proper nonempty
+    subset S of its factors, and the adjoint map, through one index.
+
+    Block S holds Y_S[a, b] = sum_c m[(a, c), (b, c)], c running over the
+    factors outside S. Blocks go by size, then in layout order (A, B, C, AB,
+    AC, BC); a block's factors stay in layout order. `idx` lists, block by
+    block and entry (a, b) by entry, the positions of the flattened matrix
+    that are diagonal outside S, one run of c per entry: a marginal entry sums
+    its run, and Y_S (x) 1 puts the entry at every position of its run. int32
+    holds every position of a matrix smaller than 46341 x 46341 (34 GB of
+    complex entries). The arrays are read-only, since the cache shares them.
+    """
+
+    def __init__(self, layout: SubsystemLayout) -> None:
+        n, dims, d = layout.n_subsystems, layout.dims, layout.total_dim
+        keeps = [keep for r in range(1, n) for keep in itertools.combinations(range(n), r)]
+        self.layout = layout
+        self.layouts = tuple(
+            SubsystemLayout._trusted(tuple(dims[k] for k in keep),
+                                     tuple(layout.labels[k] for k in keep))
+            for keep in keeps
+        )
+        self.subsets = tuple(frozenset(sub.labels) for sub in self.layouts)
+        grid = np.arange(d * d, dtype=np.int32).reshape(dims * 2)
+        runs = [np.zeros(0, dtype=np.int32)]
+        for keep, sub in zip(keeps, self.layouts):
+            rest = [k for k in range(n) if k not in keep]
+            ds, dr = sub.total_dim, d // sub.total_dim
+            t = grid.transpose([*keep, *(n + k for k in keep), *rest, *(n + k for k in rest)])
+            runs.append(np.diagonal(t.reshape(ds, ds, dr, dr), axis1=2, axis2=3).ravel())
+        sides = np.array([sub.total_dim for sub in self.layouts], dtype=np.intp)
+        self.idx = np.concatenate(runs)
+        self.sizes = sides**2
+        self.reps = np.repeat(d // sides, self.sizes)
+        self.starts = np.cumsum(self.reps) - self.reps
+        ends = np.cumsum(self.sizes)
+        self.spans = tuple(zip((ends - self.sizes).tolist(), ends.tolist(), sides.tolist()))
+        for a in (self.idx, self.sizes, self.reps, self.starts):
+            a.setflags(write=False)
+
+    def marginals(self, m: np.ndarray) -> np.ndarray:
+        """Every block of the d x d matrix `m`, raveled and concatenated."""
+        return np.add.reduceat(m.ravel()[self.idx], self.starts)
+
+    def blocks(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The square blocks of a `marginals` vector, as views of it."""
+        return [flat[a:b].reshape(s, s) for a, b, s in self.spans]
+
+    def adjoint(self, flat: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+        """1 + sum_S weights[S] Y_S (x) 1, Y_S the blocks of `flat`: a fresh
+        d x d matrix, summed at each position in block order."""
+        terms = (flat * np.asarray(weights, dtype=float).repeat(self.sizes)).repeat(self.reps)
+        d = self.layout.total_dim
+        out = np.empty(d * d, dtype=complex)
+        out.real = np.bincount(self.idx, terms.real, d * d)
+        out.imag = np.bincount(self.idx, terms.imag, d * d)
+        out[:: d + 1] += 1
+        return out.reshape(d, d)
+
+
+_marginal_map = functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)(_MarginalMap)
 
 
 def partial_transpose(x: HermitianOperator, sub: str) -> HermitianOperator:

@@ -3,14 +3,24 @@
 Builds the inclusion-exclusion operator Delta from subset marginals and the
 cut witnesses I_xy, quantum and classical. I_xy is Delta on the marginals of
 the cut inflation, where x and y share no source, so rho_xy becomes
-rho_x (x) rho_y: one loop serves Delta and I_xy. The classical cut witness is
-the diagonal of I_xy on the encoded distribution, written out pointwise on the
-probability tensor. `marginals_of` returns the marginals of one joint state
-as a read-only mapping, which `hall_delta` trusts to agree on overlaps; any
-other mapping of marginals is checked. Also renders verdicts and implements the structural checks
-used throughout: support/kernel intersection, the antiunitary decomposition
-of Delta for pure three-qubit states, fidelity flags, and the closed-form
-spectra of the named state families.
+rho_x (x) rho_y. Both are linear in the subset marginals, so both come from
+one marginal map per (alphabetically sorted) layout, `linalg._MarginalMap`:
+its gather gives every marginal at once, and its adjoint forms
+1 + sum_S w_S rho_S (x) 1 in one scatter. Delta takes the weights (-1)^|S|;
+I_xy takes -1 on x, y and z, +1 on xz and yz and 0 on xy, and adds the
+product term rho_x (x) rho_y (x) 1 through `partial_trace`, `kron` and
+`embed`. The classical cut witness is the diagonal of I_xy on the encoded
+distribution, written out pointwise on the probability tensor.
+
+`marginals_of` returns the marginals of one joint state as a read-only
+mapping that keeps the map's flat vector, which `hall_delta` trusts to agree
+on overlaps and feeds straight to the adjoint. Any other mapping of marginals
+is checked (keys that name their marginal's labels, proper subsets only,
+matching dimensions, equal marginals on overlaps) and then concatenated in
+block order for the same adjoint. Also renders verdicts and implements the
+structural checks used throughout: support/kernel intersection, the
+antiunitary decomposition of Delta for pure three-qubit states, fidelity
+flags, and the closed-form spectra of the named state families.
 """
 
 from __future__ import annotations
@@ -36,6 +46,8 @@ from .linalg import (
     HermitianOperator,
     Spectrum,
     SubsystemLayout,
+    _MarginalMap,
+    _marginal_map,
     embed,
     hermitian_eig,
     kron,
@@ -114,68 +126,85 @@ class Verdict:
         return self.status == "witnessed_incompatible"
 
 
-def _check_equimarginal(marginals: Mapping[frozenset, DensityMatrix]) -> None:
+def _sorted_entries(op: HermitianOperator) -> tuple[SubsystemLayout, np.ndarray]:
+    """op's layout in alphabetical label order, and op's matrix on it."""
+    full = op.layout.sorted()
+    return full, (op if full == op.layout else permute_subsystems(op, full.labels)).entries
+
+
+def _checked_flat(
+    marginals: Mapping[frozenset, DensityMatrix], labels: list[str]
+) -> tuple[_MarginalMap, np.ndarray]:
+    """A mapping of marginals on the proper nonempty subsets of `labels`,
+    checked to agree on every overlap, as the marginal map of their joint
+    layout and its flat vector of blocks."""
+    blocks: dict[frozenset, tuple[SubsystemLayout, np.ndarray]] = {}
     for key, rho in marginals.items():
-        for lab in key:
-            sub = key - {lab}
-            if not sub or sub not in marginals:
-                continue
-            reduced = partial_trace(rho.op, sub)
-            reduced = permute_subsystems(reduced, marginals[sub].layout.labels)
-            dev = np.max(np.abs(reduced.entries - marginals[sub].entries))
+        key = frozenset(key)
+        if not key:
+            continue
+        if set(rho.layout.labels) != key:
+            raise UnknownLabel(f"marginal keyed {sorted(key)} is on labels {rho.layout.labels}")
+        if len(key) == len(labels):
+            raise InvalidParameter(
+                f"a marginal on all of {labels}: Delta sums over proper subsets only"
+            )
+        blocks[key] = _sorted_entries(rho.op)
+    for r in range(1, len(labels)):
+        for combo in itertools.combinations(labels, r):
+            if frozenset(combo) not in blocks:
+                raise MissingMarginal(f"missing marginal for {combo}")
+    full = SubsystemLayout(tuple(blocks[frozenset({lab})][0].dims[0] for lab in labels), labels)
+    for key, (layout, m) in blocks.items():
+        if layout != full.restrict(key):
+            raise DimensionError(f"marginal on {sorted(key)} has dimensions {layout.dims}")
+        plan = _marginal_map(layout)
+        for sub, reduced in zip(plan.subsets, plan.blocks(plan.marginals(m))):
+            dev = np.max(np.abs(reduced - blocks[sub][1]))
             if dev > EQUIMARGINAL_TOL:
                 raise InconsistentMarginals(
                     f"marginal of {sorted(key)} on {sorted(sub)} deviates by {dev:.3e}"
                 )
-
-
-def _inclusion_exclusion(
-    terms: Iterable[HermitianOperator], full: SubsystemLayout
-) -> HermitianOperator:
-    """1 + sum of (-1)^|S| m_S (x) 1 over terms m_S on |S| factors, in the order
-    given, embedded into (and labelled as) `full`."""
-    acc = np.eye(full.total_dim, dtype=complex)
-    for m in terms:
-        if m.layout.n_subsystems % 2:
-            acc -= embed(m, full).entries
-        else:
-            acc += embed(m, full).entries
-    return HermitianOperator._trusted(full, acc)
+    plan = _marginal_map(full)
+    return plan, np.concatenate([blocks[sub][1].ravel() for sub in plan.subsets])
 
 
 def hall_delta(marginals: Mapping[frozenset, DensityMatrix]) -> WitnessOperator:
     """Alternating-sign sum of subset marginals, tensored with identities.
 
     Delta = sum over proper subsets X of the node set of (-1)^|X| sigma_X (x) 1,
-    the empty set contributing +1. Positive semidefinite whenever the
-    marginals come from a single joint state on an odd number of nodes.
-    The read-only mapping `marginals_of` returns is trusted to agree on
-    overlaps; any other mapping is checked to within EQUIMARGINAL_TOL.
+    the empty set contributing +1, on the nodes in alphabetical order.
+    Positive semidefinite whenever the marginals come from a single joint
+    state on an odd number of nodes. The read-only mapping `marginals_of`
+    returns is trusted to agree on overlaps; any other mapping is checked to
+    within EQUIMARGINAL_TOL, and a marginal on every node is refused.
     """
-    trusted = type(marginals) is _JointMarginals
-    marginals = {frozenset(k): v for k, v in marginals.items() if k}
     labels = sorted(set().union(*marginals))
-    n = len(labels)
-    if n % 2 == 0:
-        raise OddCardinalityRequired(f"need an odd number of nodes, got {n}")
-    for r in range(1, n):
-        for combo in itertools.combinations(labels, r):
-            if frozenset(combo) not in marginals:
-                raise MissingMarginal(f"missing marginal for {combo}")
-    dims = tuple(marginals[frozenset({lab})].layout.total_dim for lab in labels)
-    full = SubsystemLayout(dims, tuple(labels))
-    if not trusted:
-        _check_equimarginal(marginals)
+    if len(labels) % 2 == 0:
+        raise OddCardinalityRequired(f"need an odd number of nodes, got {len(labels)}")
+    if type(marginals) is _JointMarginals:
+        plan, flat = marginals.plan, marginals.flat
+    else:
+        plan, flat = _checked_flat(marginals, labels)
+    signs = [(-1.0) ** len(sub) for sub in plan.subsets]
     return WitnessOperator(
-        _inclusion_exclusion([rho.op for rho in marginals.values()], full), "hall_delta"
+        HermitianOperator._trusted(plan.layout, plan.adjoint(flat, signs)), "hall_delta"
     )
 
 
 class _JointMarginals(Mapping):
-    """`marginals_of`'s read-only result, the one type `hall_delta` trusts."""
+    """`marginals_of`'s read-only result, the one type `hall_delta` trusts.
 
-    def __init__(self, marginals: dict[frozenset, DensityMatrix]) -> None:
-        self._marginals = marginals
+    Keeps the marginal map and the flat vector of blocks the marginals view.
+    """
+
+    def __init__(self, plan: _MarginalMap, flat: np.ndarray) -> None:
+        flat.setflags(write=False)
+        self.plan, self.flat = plan, flat
+        self._marginals = {
+            sub: DensityMatrix._trusted(HermitianOperator._trusted(layout, block))
+            for sub, layout, block in zip(plan.subsets, plan.layouts, plan.blocks(flat))
+        }
 
     def __getitem__(self, key: frozenset) -> DensityMatrix:
         return self._marginals[key]
@@ -193,18 +222,16 @@ class _JointMarginals(Mapping):
 def marginals_of(rho: DensityMatrix) -> Mapping[frozenset, DensityMatrix]:
     """All proper nonempty subset marginals of a joint state, read-only.
 
-    Each is a density matrix by construction and is not re-checked: the
-    positivity tolerance of the joint state would otherwise be multiplied by
-    the traced-out dimension. They agree on overlaps by construction too, so
-    `hall_delta` trusts the returned mapping; a mutable copy (`dict(...)`) is
-    checked like any other input.
+    Each marginal's factors are in alphabetical label order. Each is a density
+    matrix by construction and is not re-checked: the positivity tolerance of
+    the joint state would otherwise be multiplied by the traced-out
+    dimension. They agree on overlaps by construction too, so `hall_delta`
+    trusts the returned mapping; a mutable copy (`dict(...)`) is checked like
+    any other input.
     """
-    labels = rho.layout.labels
-    out: dict[frozenset, DensityMatrix] = {}
-    for r in range(1, len(labels)):
-        for combo in itertools.combinations(labels, r):
-            out[frozenset(combo)] = DensityMatrix._trusted(partial_trace(rho.op, set(combo)))
-    return _JointMarginals(out)
+    full, m = _sorted_entries(rho.op)
+    plan = _marginal_map(full)
+    return _JointMarginals(plan, plan.marginals(m))
 
 
 def _cut_labels(labels: tuple[str, ...], cut: tuple[str, str]) -> tuple[str, str, str]:
@@ -238,11 +265,13 @@ def cut_witness_quantum(
     if op.layout.n_subsystems != 3:
         raise DimensionError("cut witness needs exactly three subsystems")
     x, y, z = _cut_labels(op.layout.labels, cut)
-    m_x, m_y, m_z, m_xz, m_yz = (
-        partial_trace(op, set(s)) for s in ((x,), (y,), (z,), (x, z), (y, z))
-    )
-    terms = [m_x, m_y, m_z, m_xz, m_yz, kron(m_x, m_y)]
-    return WitnessOperator(_inclusion_exclusion(terms, op.layout.sorted()), f"cut:{x}{y}")
+    full, m = _sorted_entries(op)
+    plan = _marginal_map(full)
+    # -rho_x - rho_y - rho_z + rho_xz + rho_yz; rho_xy is replaced by the product
+    weights = [-1.0 if len(sub) == 1 else float(z in sub) for sub in plan.subsets]
+    acc = plan.adjoint(plan.marginals(m), weights)
+    acc += embed(kron(partial_trace(op, {x}), partial_trace(op, {y})), full).entries
+    return WitnessOperator(HermitianOperator._trusted(full, acc), f"cut:{x}{y}")
 
 
 def cut_witness_classical(p: Distribution, cut: tuple[str, str]) -> np.ndarray:

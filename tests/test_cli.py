@@ -201,6 +201,12 @@ class TestWitnessCommand:
         assert main(["witness", str(path)]) == 1
         assert "is not UTF-8" in capsys.readouterr().err
 
+    def test_deeply_nested_file(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["witness", str(path)]) == 1
+        assert "nests JSON arrays or objects too deeply" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tolerance(self, tmp_path, capsys, tol):
         path = write_family(tmp_path, "ghz")

@@ -2,7 +2,9 @@
 
 The Kronecker and embedding kernels are compared bit for bit with the
 np.kron formulas they stand in for, on layouts with local dimensions 1-4 and
-labels in no particular order. The operations that build their results
+labels in no particular order. The marginal map is compared with the
+summation oracle, its adjoint is checked against the trace pairing, and the
+cut witnesses against their entry-by-entry oracle. The operations that build their results
 without re-validation are checked to return exactly conjugate-symmetric
 matrices, the invariant that makes skipping the checks exact, while the
 public constructors still refuse malformed input.
@@ -27,6 +29,7 @@ from qinflate.linalg import (
     DensityMatrix,
     HermitianOperator,
     SubsystemLayout,
+    _marginal_map,
     embed,
     kron,
     partial_trace,
@@ -47,6 +50,8 @@ from qinflate.witness import (
     supp_ker_test,
     verdict,
 )
+
+from oracles import cut_witness_oracle, partial_trace_oracle
 
 SETTINGS = settings(max_examples=60, deadline=None)
 LETTERS = "ABCDE"
@@ -115,6 +120,52 @@ def test_partial_transpose_is_an_involution(data, seed):
     x = _random_hermitian(layout, seed)
     twice = partial_transpose(partial_transpose(x, label), label)
     assert np.array_equal(twice.entries, x.entries)
+
+
+#: Layouts of 1-5 factors small enough for the loop oracles.
+small_layouts = layouts(max_factors=5).filter(lambda layout: layout.total_dim <= 64)
+
+
+@SETTINGS
+@given(small_layouts, seeds)
+def test_marginal_map_blocks_match_oracle(layout, seed):
+    m = _random_hermitian(layout, seed).entries
+    plan = _marginal_map(layout)
+    assert len(plan.subsets) == 2**layout.n_subsystems - 2
+    for sub, sub_layout, block in zip(plan.subsets, plan.layouts,
+                                      plan.blocks(plan.marginals(m))):
+        keep = tuple(k for k, lab in enumerate(layout.labels) if lab in sub)
+        assert sub_layout == layout.restrict(sub)
+        assert np.max(np.abs(block - partial_trace_oracle(m, layout.dims, keep))) < 1e-12
+
+
+@SETTINGS
+@given(small_layouts, seeds)
+def test_marginal_map_adjoint_identity(layout, seed):
+    # sum_S w_S Tr[Y_S rho_S] = Tr[(adjoint(Y, w) - 1) rho]
+    rng = np.random.default_rng(seed)
+    plan = _marginal_map(layout)
+    rho = random_density_matrix(layout, rng).entries
+    ys = [_random_hermitian(sub, seed + i).entries / sub.total_dim
+          for i, sub in enumerate(plan.layouts)]
+    flat = np.concatenate([np.zeros(0, dtype=complex)] + [y.ravel() for y in ys])
+    w = rng.standard_normal(len(ys))
+    lhs = sum(w_s * np.trace(y @ r).real
+              for w_s, y, r in zip(w, ys, plan.blocks(plan.marginals(rho))))
+    rhs = np.trace((plan.adjoint(flat, w) - np.eye(layout.total_dim)) @ rho).real
+    assert abs(lhs - rhs) <= 1e-12
+
+
+@SETTINGS
+@given(st.tuples(*[st.integers(1, 4)] * 3).filter(lambda dims: math.prod(dims) <= 32),
+       st.permutations("ABC"), seeds)
+def test_cut_witness_matches_oracle(dims, labels, seed):
+    rho = random_density_matrix(SubsystemLayout(dims, tuple(labels)), np.random.default_rng(seed))
+    for cut in CUTS:
+        w = cut_witness_quantum(rho, cut)
+        assert w.layout.labels == ("A", "B", "C")
+        want = cut_witness_oracle(rho.entries, dims, tuple(labels), cut)
+        assert np.max(np.abs(w.entries - want)) < 1e-12
 
 
 def _random_distribution(dims: tuple[int, ...], seed: int) -> Distribution:

@@ -14,10 +14,12 @@ from qinflate.errors import (
     OddCardinalityRequired,
     UnknownLabel,
 )
+from qinflate import linalg, witness
 from qinflate.linalg import (
     DensityMatrix,
     HermitianOperator,
     SubsystemLayout,
+    _marginal_map,
     kron,
     partial_trace,
     permute_subsystems,
@@ -129,6 +131,47 @@ class TestHallDelta:
         margs[frozenset({"A"})] = skew
         with pytest.raises(InconsistentMarginals):
             hall_delta(margs)
+
+    def test_full_marginal_rejected(self):
+        # Delta sums over proper subsets only; a marginal on every node used
+        # to be added in silently (it shifted Delta by 0.5 on GHZ).
+        rho = ghz_state().to_density()
+        margs = dict(marginals_of(rho))
+        margs[frozenset("ABC")] = rho
+        with pytest.raises(InvalidParameter, match="proper subsets"):
+            hall_delta(margs)
+
+    def test_key_must_name_its_marginal(self):
+        margs = dict(marginals_of(ghz_state().to_density()))
+        margs[frozenset({"A", "B"})] = margs[frozenset({"A", "C"})]
+        with pytest.raises(UnknownLabel):
+            hall_delta(margs)
+
+    def test_built_without_partial_trace_or_embed(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("called")
+
+        for module in (linalg, witness):
+            for name in ("partial_trace", "embed"):
+                monkeypatch.setattr(module, name, refuse)
+        rho = random_density_matrix(SubsystemLayout((2, 3, 2), ("C", "A", "B")),
+                                    np.random.default_rng(18))
+        trusted = hall_delta(marginals_of(rho))
+        checked = hall_delta(dict(marginals_of(rho)))
+        assert np.array_equal(trusted.entries, checked.entries)
+
+    def test_one_int32_marginal_map_per_layout(self):
+        # The three cut witnesses and Delta of one state share one marginal
+        # map, that of the alphabetically sorted layout, with an int32 index.
+        rho = random_density_matrix(SubsystemLayout((2, 3, 2), ("C", "A", "B")),
+                                    np.random.default_rng(19))
+        _marginal_map.cache_clear()
+        for cut in CUTS:
+            cut_witness_quantum(rho, cut)
+        hall_delta(marginals_of(rho))
+        assert _marginal_map.cache_info().currsize == 1
+        assert _marginal_map(rho.layout.sorted()).idx.dtype == np.int32
+        assert _marginal_map.cache_info().currsize == 1
 
     def test_marginals_of_is_read_only(self):
         margs = marginals_of(ghz_state().to_density())
