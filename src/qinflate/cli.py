@@ -263,6 +263,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
         }
         if v.evidence is not None and v.evidence.outcome is not None:
             entry["outcome"] = list(v.evidence.outcome)
+        if v.evidence is not None and v.evidence.vector is not None:
+            # the evidence eigenvector, on the alphabetically sorted labels
+            entry["vector"] = [[float(a.real), float(a.imag)] for a in v.evidence.vector]
         results.append(entry)
     if args.format == "json":
         print(json.dumps({"state": args.state, "results": results}, indent=2))

@@ -30,6 +30,13 @@ marginals are one gather and one segmented sum (`np.add.reduceat`), and the
 adjoint, 1 + sum_S w_S Y_S (x) 1, is one repeat and one scatter-add
 (`np.bincount`). Both keep conjugate symmetry bit for bit: an entry and its
 mirror sum conjugate terms in the same order.
+
+LAPACK is asked only for what is read. `hermitian_eig` computes eigenvalues
+at construction, eigenvectors on first read: deciding whether a witness is
+negative needs the values alone, and a vector is read only as evidence of a
+witnessed cut or by the support/kernel criterion. `DensityMatrix` decides
+positivity by a Cholesky factorisation of rho + PSD_TOL 1 and computes the
+minimum eigenvalue only to report a refusal.
 """
 
 from __future__ import annotations
@@ -200,9 +207,19 @@ class DensityMatrix:
         tr = self.op.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidParameter(f"trace is {tr!r}, expected 1")
-        lo = float(np.linalg.eigvalsh(self.op.entries)[0])
-        if lo < -PSD_TOL:
-            raise InvalidParameter(f"minimum eigenvalue {lo:.3e} below -{PSD_TOL:.0e}")
+        # rho + PSD_TOL 1 has a Cholesky factor iff it is positive definite,
+        # i.e. iff rho's minimum eigenvalue exceeds -PSD_TOL; a refusal is
+        # decided, and reported, on the minimum eigenvalue itself
+        shifted = self.op.entries.copy()
+        shifted.flat[:: self.op.side + 1] += PSD_TOL
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            lo = float(np.linalg.eigvalsh(self.op.entries)[0])
+            if lo < -PSD_TOL:
+                raise InvalidParameter(
+                    f"minimum eigenvalue {lo:.3e} below -{PSD_TOL:.0e}"
+                ) from None
 
     @classmethod
     def _trusted(cls, op: HermitianOperator) -> "DensityMatrix":
@@ -222,10 +239,26 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with a matched unitary of column eigenvectors."""
+    """Ascending eigenvalues of the Hermitian matrix `entries`, with a matched
+    unitary of column eigenvectors computed on first read.
+
+    `entries` must be read-only, as a `HermitianOperator`'s are, so that the
+    eigenvectors, computed later, belong to the matrix the eigenvalues do.
+    They are read-only too, and a second read returns the same array; two
+    threads reading at once may each compute it, which is harmless.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    entries: np.ndarray
+
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        try:
+            _, vecs = np.linalg.eigh(self.entries)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(str(exc)) from exc
+        vecs.setflags(write=False)
+        return vecs
 
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
@@ -397,16 +430,19 @@ def partial_transpose(x: HermitianOperator, sub: str) -> HermitianOperator:
 
 
 def hermitian_eig(x: HermitianOperator) -> Spectrum:
-    """Full eigendecomposition with ascending eigenvalues.
+    """Eigendecomposition with ascending eigenvalues: eigenvalues at
+    construction, eigenvectors on first read of `Spectrum.eigenvectors`.
 
-    Backed by LAPACK's Hermitian solver; an independent cyclic-Jacobi
-    implementation cross-checks it in the test suite.
+    Backed by LAPACK's Hermitian solvers, values only (`eigvalsh`) and then,
+    when read, values and vectors (`eigh`); an independent cyclic-Jacobi
+    implementation cross-checks them in the test suite.
     """
     try:
-        vals, vecs = np.linalg.eigh(x.entries)
+        vals = np.linalg.eigvalsh(x.entries)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return Spectrum(np.asarray(vals, dtype=float), vecs)
+    vals.setflags(write=False)
+    return Spectrum(vals, x.entries)
 
 
 def min_eigenvalue(x: HermitianOperator) -> float:

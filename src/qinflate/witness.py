@@ -73,7 +73,8 @@ DEFAULT_ANGLE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class WitnessOperator:
-    """Hermitian witness with its spectrum computed at construction."""
+    """Hermitian witness with its spectrum: eigenvalues at construction,
+    eigenvectors on first read (a verdict reads one only for a witnessed cut)."""
 
     op: HermitianOperator
     kind: str

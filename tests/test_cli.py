@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from qinflate.cli import load_state, main, save_state
-from qinflate.linalg import DensityMatrix
+from qinflate.cli import CUTS, load_state, main, save_state
+from qinflate.linalg import DensityMatrix, permute_subsystems
 from qinflate.states import Distribution, ghz_distn, ghz_state, w_state, tri_bell
+from qinflate.witness import cut_witness_quantum
 
 
 def write_family(tmp_path, name, params=None):
@@ -185,6 +186,26 @@ class TestWitnessCommand:
         for entry in doc["results"]:
             assert len(entry["spectrum"]) == 8
             assert entry["min_value"] == entry["spectrum"][0]
+
+    def test_json_evidence_vector(self, tmp_path, capsys):
+        # the tri-Bell state with its factors stored as (C, A, B): the vector
+        # is in sorted-label order, the order I_xy is materialized in
+        rho = tri_bell(2 / 0.19).to_density()
+        stored = DensityMatrix(permute_subsystems(rho.op, ("C", "A", "B")))
+        path = tmp_path / "state.json"
+        save_state(stored, str(path))
+        assert main(["witness", str(path), "--format", "json"]) == 2
+        results = json.loads(capsys.readouterr().out)["results"]
+        witnessed = [e for e in results if e["verdict"] == "witnessed_incompatible"]
+        assert witnessed
+        for entry in results:
+            assert ("vector" in entry) == (entry in witnessed)
+            assert "outcome" not in entry
+        for entry in witnessed:
+            v = np.array([complex(re, im) for re, im in entry["vector"]])
+            w = cut_witness_quantum(rho, CUTS[entry["cut"]]).entries
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            assert abs(np.vdot(v, w @ v) - entry["min_value"]) <= 1e-12
 
     def test_classical_distribution(self, tmp_path, capsys):
         path = write_family(tmp_path, "ghz_distn")

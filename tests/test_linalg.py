@@ -14,6 +14,7 @@ from qinflate.errors import (
     UnknownLabel,
 )
 from qinflate.linalg import (
+    PSD_TOL,
     DensityMatrix,
     HermitianOperator,
     SubsystemLayout,
@@ -99,6 +100,86 @@ class TestHermitianOperator:
         np.testing.assert_allclose((x + y).entries, x.entries + y.entries)
         np.testing.assert_allclose((x - y).entries, x.entries - y.entries)
         np.testing.assert_allclose((2.0 * x).entries, 2 * x.entries)
+
+
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    """Replace np.linalg.<name> by a wrapper counting its calls in calls[0]."""
+    calls = [0]
+    real = getattr(np.linalg, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def _state_with_min_eigenvalue(layout: SubsystemLayout, lam: float, rng) -> np.ndarray:
+    """A unit-trace Hermitian matrix, minimum eigenvalue `lam`, in a random basis."""
+    d = layout.total_dim
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, _ = np.linalg.qr(g)
+    vals = rng.uniform(0.5, 1.0, d)
+    vals[0] = 0.0
+    vals *= (1.0 - lam) / vals.sum()
+    vals[0] = lam
+    return (q * vals) @ q.conj().T
+
+
+POSITIVITY_LAYOUTS = [
+    SubsystemLayout((2, 2, 2), ("A", "B", "C")),
+    SubsystemLayout((3, 4, 5), ("B", "C", "A")),
+    SubsystemLayout((6, 6, 6), ("A", "B", "C")),
+]
+
+
+class TestDensityMatrixPositivity:
+    """Positivity is decided by a Cholesky factorisation of rho + PSD_TOL 1;
+    the minimum eigenvalue is computed only to report a refusal."""
+
+    @pytest.mark.parametrize("layout", POSITIVITY_LAYOUTS, ids=lambda lay: str(lay.dims))
+    def test_pure_states_accepted_without_eigenvalues(self, layout, monkeypatch):
+        rng = np.random.default_rng(7)
+        d = layout.total_dim
+        basis = np.zeros((d, d))
+        basis[0, 0] = 1.0  # exact zero eigenvalues
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v /= np.linalg.norm(v)
+        eigvalsh = _count_calls(monkeypatch, "eigvalsh")
+        for m in (basis, np.outer(v, v.conj())):
+            DensityMatrix(HermitianOperator(layout, m))
+        assert eigvalsh[0] == 0
+
+    @pytest.mark.parametrize("layout", POSITIVITY_LAYOUTS, ids=lambda lay: str(lay.dims))
+    def test_boundary_at_psd_tol(self, layout, monkeypatch):
+        rng = np.random.default_rng(8)
+        inside = HermitianOperator(layout, _state_with_min_eigenvalue(layout, -0.5 * PSD_TOL, rng))
+        outside = HermitianOperator(layout, _state_with_min_eigenvalue(layout, -2 * PSD_TOL, rng))
+        eigvalsh = _count_calls(monkeypatch, "eigvalsh")
+        DensityMatrix(inside)
+        assert eigvalsh[0] == 0
+        with pytest.raises(InvalidParameter, match="minimum eigenvalue -2.0"):
+            DensityMatrix(outside)
+        assert eigvalsh[0] == 1
+
+    @pytest.mark.parametrize("layout", POSITIVITY_LAYOUTS, ids=lambda lay: str(lay.dims))
+    def test_malformed_input_refused_before_positivity(self, layout, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("positivity checked on malformed input")
+
+        monkeypatch.setattr(np.linalg, "cholesky", unreachable)
+        monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+        d = layout.total_dim
+        for bad in (np.nan, np.inf):
+            m = np.eye(d, dtype=complex) / d
+            m[d - 1, d - 1] = bad
+            with pytest.raises(InvalidParameter, match="non-finite"):
+                DensityMatrix(HermitianOperator(layout, m))
+        m = np.eye(d, dtype=complex) / d
+        m[0, d - 1] = 1e-3
+        with pytest.raises(NotHermitian):
+            DensityMatrix(HermitianOperator(layout, m))
 
 
 class TestKron:
@@ -223,6 +304,33 @@ class TestHermitianEig:
         x = random_hermitian(lay)
         spec = hermitian_eig(x)
         assert np.max(np.abs(spec.reconstruct() - x.entries)) < 1e-9
+
+
+    def test_eigenvectors_computed_once_on_first_read(self, monkeypatch):
+        eigh = _count_calls(monkeypatch, "eigh")
+        x = random_hermitian(QUBIT3)
+        spec = hermitian_eig(x)
+        assert spec.entries is x.entries
+        assert eigh[0] == 0
+        u = spec.eigenvectors
+        assert eigh[0] == 1
+        assert spec.eigenvectors is u
+        assert eigh[0] == 1
+        assert not (u.flags.writeable or spec.eigenvalues.flags.writeable)
+        np.testing.assert_allclose(spec.reconstruct(), x.entries, atol=1e-12)
+
+    def test_failures_raise_no_convergence(self, monkeypatch):
+        def diverging(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        x = random_hermitian(QUBIT3)
+        spec = hermitian_eig(x)
+        monkeypatch.setattr(np.linalg, "eigh", diverging)
+        with pytest.raises(NoConvergence):
+            spec.eigenvectors
+        monkeypatch.setattr(np.linalg, "eigvalsh", diverging)
+        with pytest.raises(NoConvergence):
+            hermitian_eig(x)
 
 
 class TestEmbedPermute:

@@ -7,7 +7,10 @@ summation oracle, its adjoint is checked against the trace pairing, and the
 cut witnesses against their entry-by-entry oracle. The operations that build their results
 without re-validation are checked to return exactly conjugate-symmetric
 matrices, the invariant that makes skipping the checks exact, while the
-public constructors still refuse malformed input.
+public constructors still refuse malformed input. The eigenvectors a
+spectrum computes on first read diagonalise the matrix its eigenvalues came
+from, degenerate spectra included, and a witnessed verdict's evidence is a
+unit vector attaining the minimum.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from qinflate.linalg import (
     SubsystemLayout,
     _marginal_map,
     embed,
+    hermitian_eig,
     kron,
     partial_trace,
     partial_transpose,
@@ -43,6 +47,7 @@ from qinflate.states import (
     random_pure_state,
 )
 from qinflate.witness import (
+    WitnessOperator,
     cut_witness_classical,
     cut_witness_quantum,
     hall_delta,
@@ -273,6 +278,50 @@ def test_supp_ker_test_fires_only_on_witnessed_cuts(dims, labels, seed, rank, cu
     rho = DensityMatrix(HermitianOperator(layout, m / np.trace(m).real))
     if supp_ker_test(rho, [cut])[0]:
         assert verdict(cut_witness_quantum(rho, cut)).witnessed
+
+
+@st.composite
+def hermitian_matrices(draw) -> np.ndarray:
+    """A Hermitian matrix of side 1-64 and norm about 1 or less: a random one,
+    a projector of any rank, or identity blocks (degenerate spectra, diagonal
+    or in a random basis)."""
+    d = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["random", "projector", "blocks", "diagonal blocks"]))
+    rng = np.random.default_rng(draw(seeds))
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if kind == "random":
+        return (g + g.conj().T) / (4 * np.sqrt(d))
+    q, _ = np.linalg.qr(g)
+    if kind == "projector":
+        v = q[:, : draw(st.integers(0, d))]
+        return v @ v.conj().T
+    vals = rng.integers(-2, 3, size=d) / 2
+    return np.diag(vals) if kind == "diagonal blocks" else (q * vals) @ q.conj().T
+
+
+@SETTINGS
+@given(hermitian_matrices())
+def test_lazy_eigenvectors_diagonalise(m):
+    x = HermitianOperator(SubsystemLayout((len(m),), ("A",)), m)
+    spec = hermitian_eig(x)
+    u = spec.eigenvectors
+    assert np.max(np.abs(u.conj().T @ u - np.eye(len(m)))) <= 1e-12
+    scale = max(1.0, float(np.linalg.norm(x.entries, 2)))
+    assert np.max(np.abs(x.entries @ u - u * spec.eigenvalues)) <= 1e-12 * scale
+
+
+@SETTINGS
+@given(hermitian_matrices())
+def test_witnessed_evidence_is_a_unit_minimising_vector(m):
+    # shifted so that the minimum eigenvalue is -0.25: always witnessed
+    d = len(m)
+    shifted = m - (np.linalg.eigvalsh(m)[0] + 0.25) * np.eye(d)
+    w = WitnessOperator(HermitianOperator(SubsystemLayout((d,), ("A",)), shifted), "shifted")
+    ev = verdict(w).evidence
+    assert ev is not None
+    v = ev.vector
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert abs(np.vdot(v, w.entries @ v) - ev.min_value) <= 1e-12
 
 
 @SETTINGS

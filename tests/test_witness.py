@@ -350,6 +350,67 @@ class TestVerdict:
             verdict(np.array([[bad, 0.1], [0.2, 0.3]]))
 
 
+def _count_eigh(monkeypatch) -> list[int]:
+    """Replace np.linalg.eigh by a wrapper counting its calls in calls[0]."""
+    calls = [0]
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def _witnesses_and_verdicts(rho: DensityMatrix) -> list:
+    """The three cut witnesses and Delta of rho, with their verdicts."""
+    ws = [cut_witness_quantum(rho, cut) for cut in CUTS]
+    ws.append(hall_delta(marginals_of(rho)))
+    return [(w, verdict(w)) for w in ws]
+
+
+class TestLazyEigenvectors:
+    """A verdict needs eigenvalues only; an eigenvector is computed on first
+    read, which a verdict does only for a witnessed cut."""
+
+    def test_product_state_computes_no_eigenvectors(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        factors = [random_density_matrix(SubsystemLayout((d,), (lab,)), rng).op
+                   for d, lab in ((3, "C"), (2, "A"), (4, "B"))]
+        rho = DensityMatrix(kron(kron(factors[0], factors[1]), factors[2]))
+        calls = _count_eigh(monkeypatch)
+        assert not any(v.witnessed for _, v in _witnesses_and_verdicts(rho))
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("dims", [(4, 4, 4), (5, 6, 4), (6, 6, 6)])
+    def test_inconclusive_large_states_compute_no_eigenvectors(self, dims, monkeypatch):
+        # random mixed states on the local dimensions 4-6 of a large scan
+        rng = np.random.default_rng(13)
+        layout = SubsystemLayout(dims, ("A", "B", "C"))
+        calls = _count_eigh(monkeypatch)
+        d = layout.total_dim
+        g = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+        rank3 = DensityMatrix(HermitianOperator(layout, g @ g.conj().T / np.linalg.norm(g) ** 2))
+        for rho in (random_density_matrix(layout, rng), random_pure_state(layout, rng).to_density(),
+                    rank3):
+            assert not any(v.witnessed for _, v in _witnesses_and_verdicts(rho))
+        assert calls[0] == 0
+
+    def test_witnessed_verdict_computes_eigenvectors_once(self, monkeypatch):
+        calls = _count_eigh(monkeypatch)
+        w = cut_witness_quantum(tri_bell(2 / 0.19).to_density(), ("A", "B"))
+        assert calls[0] == 0
+        v = verdict(w)
+        assert v.witnessed
+        assert calls[0] == 1
+        vecs = w.spectrum.eigenvectors
+        assert w.spectrum.eigenvectors is vecs
+        assert np.shares_memory(v.evidence.vector, vecs)
+        assert verdict(w).witnessed
+        assert calls[0] == 1
+
+
 class TestPureDeltaStructure:
     def test_decomposition_holds_for_random_pure(self):
         rng = np.random.default_rng(16)
