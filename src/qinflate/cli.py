@@ -252,8 +252,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
             spectrum = sorted(float(x) for x in tensor.reshape(-1))
         else:
             w = cut_witness_quantum(state, CUTS[name])
-            v = verdict(w, tol)
+            # read first, so that the verdict decides on it, unfactorised
             spectrum = [float(x) for x in w.spectrum.eigenvalues]
+            v = verdict(w, tol)
         any_witnessed = any_witnessed or v.witnessed
         entry: dict[str, Any] = {
             "cut": name,

@@ -31,12 +31,16 @@ adjoint, 1 + sum_S w_S Y_S (x) 1, is one repeat and one scatter-add
 (`np.bincount`). Both keep conjugate symmetry bit for bit: an entry and its
 mirror sum conjugate terms in the same order.
 
-LAPACK is asked only for what is read. `hermitian_eig` computes eigenvalues
-at construction, eigenvectors on first read: deciding whether a witness is
-negative needs the values alone, and a vector is read only as evidence of a
-witnessed cut or by the support/kernel criterion. `DensityMatrix` decides
-positivity by a Cholesky factorisation of rho + PSD_TOL 1 and computes the
-minimum eigenvalue only to report a refusal.
+LAPACK is asked only for what is read. Whether every eigenvalue of an
+operator exceeds -tol is a sign test, decided by a Cholesky factorisation of
+the operator + tol 1 at a fraction of the cost of an eigensolve.
+`DensityMatrix` decides positivity this way at PSD_TOL, and computes the
+minimum eigenvalue only to report a refusal; the witness verdicts decide at
+VERDICT_TOL. `hermitian_eig` computes eigenvalues at the call and
+eigenvectors on first read, since most readers of a spectrum need the values
+alone. A reader that needs both from the start (a witnessed verdict's
+evidence, the support/kernel criterion, the nu split) gets them from one
+`eigh` through the private `Spectrum._with_vectors`.
 """
 
 from __future__ import annotations
@@ -155,7 +159,7 @@ class HermitianOperator:
 
     @classmethod
     def _trusted(cls, layout: SubsystemLayout, m: np.ndarray) -> "HermitianOperator":
-        """Operator from a complex matrix built from validated operators.
+        """Operator from a real or complex matrix built from validated operators.
 
         `m` must already be exactly conjugate-symmetric, finite and of the
         layout's shape, and must not alias an array a caller can write: it is
@@ -207,14 +211,8 @@ class DensityMatrix:
         tr = self.op.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidParameter(f"trace is {tr!r}, expected 1")
-        # rho + PSD_TOL 1 has a Cholesky factor iff it is positive definite,
-        # i.e. iff rho's minimum eigenvalue exceeds -PSD_TOL; a refusal is
-        # decided, and reported, on the minimum eigenvalue itself
-        shifted = self.op.entries.copy()
-        shifted.flat[:: self.op.side + 1] += PSD_TOL
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
+        # a refusal is decided, and reported, on the minimum eigenvalue itself
+        if not _eigenvalues_above(self.op.entries, -PSD_TOL):
             lo = float(np.linalg.eigvalsh(self.op.entries)[0])
             if lo < -PSD_TOL:
                 raise InvalidParameter(
@@ -237,6 +235,35 @@ class DensityMatrix:
         return self.op.entries
 
 
+def _eigenvalues_above(m: np.ndarray, lower: float) -> bool:
+    """Whether every eigenvalue of the finite Hermitian matrix `m` exceeds
+    `lower`, decided by a Cholesky factorisation of m - lower 1.
+
+    The factor exists iff m - lower 1 is positive definite. The factorisation
+    is backward stable (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, ch. 10), so it succeeds or fails as the exact
+    test does except within rounding of order d u ||m|| of the boundary.
+    """
+    shifted = m.copy()
+    shifted.flat[:: m.shape[0] + 1] -= lower
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ascending eigenvalues and eigenvectors of `m` from one eigh."""
+    try:
+        vals, vecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    vals.setflags(write=False)
+    vecs.setflags(write=False)
+    return vals, vecs
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Ascending eigenvalues of the Hermitian matrix `entries`, with a matched
@@ -253,12 +280,16 @@ class Spectrum:
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
-        try:
-            _, vecs = np.linalg.eigh(self.entries)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(str(exc)) from exc
-        vecs.setflags(write=False)
-        return vecs
+        return _eigh(self.entries)[1]
+
+    @classmethod
+    def _with_vectors(cls, entries: np.ndarray) -> "Spectrum":
+        """Eigenvalues and eigenvectors of read-only `entries`, both from one
+        eigh, for a reader that needs the vectors from the start."""
+        vals, vecs = _eigh(entries)
+        spec = cls(vals, entries)
+        object.__setattr__(spec, "eigenvectors", vecs)
+        return spec
 
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
@@ -430,8 +461,8 @@ def partial_transpose(x: HermitianOperator, sub: str) -> HermitianOperator:
 
 
 def hermitian_eig(x: HermitianOperator) -> Spectrum:
-    """Eigendecomposition with ascending eigenvalues: eigenvalues at
-    construction, eigenvectors on first read of `Spectrum.eigenvectors`.
+    """Eigendecomposition with ascending eigenvalues: eigenvalues at the
+    call, eigenvectors on first read of `Spectrum.eigenvectors`.
 
     Backed by LAPACK's Hermitian solvers, values only (`eigvalsh`) and then,
     when read, values and vectors (`eigh`); an independent cyclic-Jacobi

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .linalg import DensityMatrix, HermitianOperator, _partial_transpose
+from .linalg import DensityMatrix, HermitianOperator, _partial_transpose, min_eigenvalue
 from .states import LocalBasis, tri_bell, tri_bell_t_from_amplitude
 from .witness import WitnessOperator, _bisect_crossing, cut_witness_quantum
 
@@ -152,8 +152,10 @@ def ppt_min(w: WitnessOperator) -> SdpResult:
     converged = max(primal, dual) < ADMM_TOL
     # Weak duality: for PSD P_k and y = lambda_min(W - sum_k T_k(P_k)), every
     # PPT state has Tr[rho W] >= y + sum_k Tr[T_k(rho) P_k] >= y. The scaled
-    # duals, clipped, are the P_k that make y tight at the optimum.
-    certified_lower = float(np.linalg.eigvalsh(wm - sum(project(rho_pen * us)))[0])
+    # duals, clipped, are the P_k that make y tight at the optimum. The
+    # clipped duals are Hermitian up to rounding; (s + s+)/2 is exactly so.
+    s = wm - sum(project(rho_pen * us))
+    certified_lower = min_eigenvalue(HermitianOperator._trusted(layout, (s + s.conj().T) / 2))
     # Feasible representative: clip the consensus point onto the PSD cone and
     # renormalize, so the reported value is reproducible from the minimizer.
     m = _psd_clip(z)

@@ -23,6 +23,7 @@ from .errors import (
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
+    Spectrum,
     SubsystemLayout,
     hermitian_eig,
     kron,
@@ -358,7 +359,7 @@ def nu_decomposition(rho: DensityMatrix, x: str, y: str) -> NuPair:
     rho_y = partial_trace(rho.op, {y})
     prod = permute_subsystems(kron(rho_x, rho_y), rho_xy.layout.labels)
     diff = prod - rho_xy
-    spec = hermitian_eig(diff)
+    spec = Spectrum._with_vectors(diff.entries)
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     pos = (vecs[:, vals > 0] * vals[vals > 0]) @ vecs[:, vals > 0].conj().T
     neg = (vecs[:, vals < 0] * (-vals[vals < 0])) @ vecs[:, vals < 0].conj().T

@@ -25,9 +25,10 @@ flags, and the closed-form spectra of the named state families.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -46,6 +47,7 @@ from .linalg import (
     HermitianOperator,
     Spectrum,
     SubsystemLayout,
+    _eigenvalues_above,
     _MarginalMap,
     _marginal_map,
     embed,
@@ -73,15 +75,25 @@ DEFAULT_ANGLE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class WitnessOperator:
-    """Hermitian witness with its spectrum: eigenvalues at construction,
-    eigenvectors on first read (a verdict reads one only for a witnessed cut)."""
+    """Hermitian witness whose spectrum is computed on first read.
+
+    Building one runs no eigensolver: `verdict` decides the sign by a
+    Cholesky factorisation and reads the spectrum only for a witnessed cut.
+    """
 
     op: HermitianOperator
     kind: str
-    spectrum: Spectrum = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "spectrum", hermitian_eig(self.op))
+        if not isinstance(self.op, HermitianOperator) or not isinstance(self.kind, str):
+            raise InvalidParameter(
+                f"a witness needs a HermitianOperator and a str kind, got "
+                f"{type(self.op).__name__} and {type(self.kind).__name__}"
+            )
+
+    @functools.cached_property
+    def spectrum(self) -> Spectrum:
+        return hermitian_eig(self.op)
 
     @property
     def layout(self) -> SubsystemLayout:
@@ -298,20 +310,34 @@ def verdict(
 ) -> Verdict:
     """Witnessed incompatibility iff the minimum eigenvalue/entry is < -tol.
 
-    A nonnegative witness is never proof of compatibility, hence the
-    inconclusive branch carries no evidence. A non-finite witness, or a
-    tolerance that is not a finite number >= 0, raises.
+    An operator's sign is decided by a Cholesky factorisation of W + tol 1:
+    when it succeeds, every eigenvalue exceeds -tol and the verdict is
+    inconclusive with no eigenvalue computed. When it fails, W's eigenvalues
+    and eigenvectors come from one eigh, kept as W's spectrum, and the
+    verdict is decided on the minimum eigenvalue, so a witnessed verdict
+    always agrees with the spectrum. A spectrum read before the verdict is
+    decided on directly. A nonnegative witness is never proof of
+    compatibility, hence the inconclusive branch carries no evidence. A
+    non-finite witness, or a tolerance that is not a finite number >= 0,
+    raises.
     """
     if not 0.0 <= tol < np.inf:  # False for NaN too
         raise InvalidParameter(f"verdict tolerance must be finite and >= 0, got {tol!r}")
     is_op = isinstance(w, WitnessOperator)
-    t = w.spectrum.eigenvalues if is_op else np.asarray(w, dtype=float)
+    t = w.entries if is_op else np.asarray(w, dtype=float)
     if not np.isfinite(t).all():
         raise InvalidParameter("witness has non-finite values")
     if is_op:
-        lam = w.min_eigenvalue()
+        # the spectrum if read already: cached_property keeps it in vars(w)
+        spec = vars(w).get("spectrum")
+        if spec is None:
+            if _eigenvalues_above(t, -tol):
+                return Verdict("inconclusive")
+            spec = Spectrum._with_vectors(t)
+            object.__setattr__(w, "spectrum", spec)
+        lam = float(spec.eigenvalues[0])
         if lam < -tol:
-            vec = w.spectrum.eigenvectors[:, 0]
+            vec = spec.eigenvectors[:, 0]
             return Verdict(
                 "witnessed_incompatible", Evidence(w.kind, lam, vector=vec)
             )
@@ -344,10 +370,10 @@ def supp_ker_test(rho: DensityMatrix, cuts: Iterable[tuple[str, str]]) -> list[b
     ker = None
     out = []
     for x, y in cuts:
-        nu = hermitian_eig(embed(nu_decomposition(rho, x, y).nu_minus, full))
+        nu = Spectrum._with_vectors(embed(nu_decomposition(rho, x, y).nu_minus, full).entries)
         supp = nu.eigenvectors[:, nu.eigenvalues > DEFAULT_RANK_TOL]
         if ker is None and supp.size:
-            delta = hall_delta(marginals_of(rho)).spectrum
+            delta = Spectrum._with_vectors(hall_delta(marginals_of(rho)).entries)
             ker = delta.eigenvectors[:, np.abs(delta.eigenvalues) <= DEFAULT_RANK_TOL]
         cos = np.linalg.norm(supp.conj().T @ ker, 2) if supp.size else 0.0
         out.append(bool(cos**2 >= 1.0 - DEFAULT_ANGLE_TOL))

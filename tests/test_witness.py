@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qinflate.errors import (
     DimensionError,
@@ -47,6 +49,7 @@ from qinflate.states import (
 from qinflate.witness import (
     GHZ_FIDELITY_THRESHOLD,
     QUTRIT_MIXED_REFERENCE,
+    WitnessOperator,
     cut_witness_classical,
     cut_witness_quantum,
     fidelity_witness,
@@ -350,17 +353,29 @@ class TestVerdict:
             verdict(np.array([[bad, 0.1], [0.2, 0.3]]))
 
 
-def _count_eigh(monkeypatch) -> list[int]:
-    """Replace np.linalg.eigh by a wrapper counting its calls in calls[0]."""
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    """Replace np.linalg.<name> by a wrapper counting its calls in calls[0]."""
     calls = [0]
-    eigh = np.linalg.eigh
+    real = getattr(np.linalg, name)
 
     def counting(*args, **kwargs):
         calls[0] += 1
-        return eigh(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+def _count_eigensolves(monkeypatch) -> tuple[list[int], list[int]]:
+    """Counters of np.linalg.eigvalsh and np.linalg.eigh calls."""
+    return _count_calls(monkeypatch, "eigvalsh"), _count_calls(monkeypatch, "eigh")
+
+
+def _with_spectrum(vals: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A Hermitian matrix with eigenvalues `vals`, in a random unitary basis."""
+    d = len(vals)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return (q * vals) @ q.conj().T
 
 
 def _witnesses_and_verdicts(rho: DensityMatrix) -> list:
@@ -371,15 +386,16 @@ def _witnesses_and_verdicts(rho: DensityMatrix) -> list:
 
 
 class TestLazyEigenvectors:
-    """A verdict needs eigenvalues only; an eigenvector is computed on first
-    read, which a verdict does only for a witnessed cut."""
+    """A verdict decides the sign by a Cholesky factorisation, so building a
+    witness and an inconclusive verdict compute no eigenvalue; a witnessed
+    verdict takes its minimum eigenvalue and vector from one eigh."""
 
     def test_product_state_computes_no_eigenvectors(self, monkeypatch):
         rng = np.random.default_rng(12)
         factors = [random_density_matrix(SubsystemLayout((d,), (lab,)), rng).op
                    for d, lab in ((3, "C"), (2, "A"), (4, "B"))]
         rho = DensityMatrix(kron(kron(factors[0], factors[1]), factors[2]))
-        calls = _count_eigh(monkeypatch)
+        calls = _count_calls(monkeypatch, "eigh")
         assert not any(v.witnessed for _, v in _witnesses_and_verdicts(rho))
         assert calls[0] == 0
 
@@ -388,17 +404,18 @@ class TestLazyEigenvectors:
         # random mixed states on the local dimensions 4-6 of a large scan
         rng = np.random.default_rng(13)
         layout = SubsystemLayout(dims, ("A", "B", "C"))
-        calls = _count_eigh(monkeypatch)
+        eigvalsh, calls = _count_eigensolves(monkeypatch)
         d = layout.total_dim
         g = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
         rank3 = DensityMatrix(HermitianOperator(layout, g @ g.conj().T / np.linalg.norm(g) ** 2))
         for rho in (random_density_matrix(layout, rng), random_pure_state(layout, rng).to_density(),
                     rank3):
             assert not any(v.witnessed for _, v in _witnesses_and_verdicts(rho))
-        assert calls[0] == 0
+        # not even eigenvalues: each verdict is one factorisation
+        assert calls[0] == eigvalsh[0] == 0
 
     def test_witnessed_verdict_computes_eigenvectors_once(self, monkeypatch):
-        calls = _count_eigh(monkeypatch)
+        calls = _count_calls(monkeypatch, "eigh")
         w = cut_witness_quantum(tri_bell(2 / 0.19).to_density(), ("A", "B"))
         assert calls[0] == 0
         v = verdict(w)
@@ -409,6 +426,100 @@ class TestLazyEigenvectors:
         assert np.shares_memory(v.evidence.vector, vecs)
         assert verdict(w).witnessed
         assert calls[0] == 1
+
+    def test_witnessed_verdict_runs_one_eigh_and_no_eigvalsh(self, monkeypatch):
+        ws = [cut_witness_quantum(ghz_state().to_density(), ("A", "C")),
+              cut_witness_quantum(qutrit_pair(0.5, 0.25)[0].to_density(), ("B", "C"))]
+        eigvalsh, eigh = _count_eigensolves(monkeypatch)
+        for k, w in enumerate(ws, 1):
+            v = verdict(w)
+            assert v.witnessed
+            assert (eigvalsh[0], eigh[0]) == (0, k)
+            # the verdict's spectrum is the witness's: values and vector agree
+            assert v.evidence.min_value == w.min_eigenvalue() < -linalg.VERDICT_TOL
+            assert np.shares_memory(v.evidence.vector, w.spectrum.eigenvectors)
+        assert (eigvalsh[0], eigh[0]) == (0, len(ws))
+
+    def test_a_spectrum_read_first_decides_without_factorising(self, monkeypatch):
+        product = DensityMatrix(HermitianOperator(QUBIT3, np.diag([1.0] + [0.0] * 7)))
+        ws = [cut_witness_quantum(rho, ("A", "B")) for rho in (product, ghz_state().to_density())]
+        lows = [w.spectrum.eigenvalues[0] for w in ws]
+        cholesky = _count_calls(monkeypatch, "cholesky")
+        eigvalsh, eigh = _count_eigensolves(monkeypatch)
+        assert [verdict(w).witnessed for w in ws] == [False, True]
+        assert [w.spectrum.eigenvalues[0] for w in ws] == lows
+        # the witnessed cut reads its evidence vector, and nothing else runs
+        assert (cholesky[0], eigvalsh[0], eigh[0]) == (0, 0, 1)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 4, 5), (6, 6, 6)])
+    def test_boundary_at_verdict_tol(self, dims, monkeypatch):
+        # as DensityMatrix's positivity check at PSD_TOL: a minimum eigenvalue
+        # of -0.5 tol factorises, one of -2 tol does not and is witnessed
+        rng = np.random.default_rng(16)
+        layout = SubsystemLayout(dims, ("A", "B", "C"))
+        tol = linalg.VERDICT_TOL
+        inside, outside = (
+            WitnessOperator(HermitianOperator(layout, _with_spectrum(vals, rng)), "test")
+            for vals in (np.r_[-0.5 * tol, rng.uniform(0.5, 1.0, layout.total_dim - 1)],
+                         np.r_[-2.0 * tol, rng.uniform(0.5, 1.0, layout.total_dim - 1)])
+        )
+        eigvalsh, eigh = _count_eigensolves(monkeypatch)
+        assert not verdict(inside).witnessed
+        assert eigvalsh[0] == eigh[0] == 0
+        v = verdict(outside)
+        assert v.witnessed
+        assert v.evidence.min_value == pytest.approx(-2.0 * tol, rel=1e-6)
+        assert (eigvalsh[0], eigh[0]) == (0, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 32), st.integers(0, 2**32 - 1), st.floats(-2.0, 2.0),
+           st.sampled_from([0.0, 1e-10, linalg.VERDICT_TOL, 1e-6]),
+           st.one_of(st.none(), st.floats(-9.0, -5.0)), st.booleans())
+    def test_cholesky_verdict_is_the_eigenvalue_rule(self, d, seed, log_scale, tol,
+                                                      log_offset, below):
+        # random Hermitian matrices of norm 1e-2 to 1e2, and ones with the
+        # minimum eigenvalue placed 1e-9 to 1e-5 on either side of -tol
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        if log_offset is None:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            m = scale * (g + g.conj().T) / (4 * np.sqrt(d))
+        else:
+            low = -tol + (-1.0 if below else 1.0) * 10.0 ** log_offset
+            m = _with_spectrum(np.r_[low, low + scale * rng.uniform(0.0, 1.0, d - 1)], rng)
+        w = WitnessOperator(HermitianOperator(SubsystemLayout((d,), ("A",)), m), "test")
+        lam = float(np.linalg.eigvalsh(w.entries)[0])
+        assume(abs(lam + tol) > 1e-12 * float(np.linalg.norm(w.entries, 2)))
+        assert verdict(w, tol).witnessed == (lam < -tol)
+
+    def test_non_finite_witness_refused_before_factorising(self, monkeypatch):
+        # a unit-trace operator whose rho_A(0, 1) sums four entries of 1e308
+        m = np.eye(8, dtype=complex) / 8
+        for i in range(4):
+            m[i, 4 + i] = m[4 + i, i] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = cut_witness_quantum(HermitianOperator(QUBIT3, m), ("A", "B"))
+        assert not np.isfinite(w.entries).all()
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a non-finite witness reached LAPACK")
+
+        for name in ("cholesky", "eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, unreachable)
+        with pytest.raises(InvalidParameter, match="non-finite"):
+            verdict(w)
+
+    @pytest.mark.parametrize("op, kind", [
+        (np.eye(8), "test"),
+        (ghz_state().to_density(), "test"),
+        (HermitianOperator(QUBIT3, np.eye(8)), 3),
+        (HermitianOperator(QUBIT3, np.eye(8)), None),
+    ], ids=["array", "density matrix", "int kind", "no kind"])
+    def test_witness_needs_an_operator_and_a_kind(self, op, kind):
+        # the spectrum is computed on first read, so a bad operator is
+        # refused when the witness is built, not when it is first decided
+        with pytest.raises(InvalidParameter, match="HermitianOperator and a str kind"):
+            WitnessOperator(op, kind)
 
 
 class TestPureDeltaStructure:
@@ -452,6 +563,13 @@ class TestSuppKerTest:
     def test_fires_on_ghz(self):
         rho = ghz_state().to_density()
         assert any(supp_ker_test(rho, CUTS))
+
+    def test_one_eigh_per_decomposition(self, monkeypatch):
+        # per cut: nu's split and nu_minus (x) 1, then Delta once; every one
+        # of them reads its vectors, so none runs eigvalsh first
+        eigvalsh, eigh = _count_eigensolves(monkeypatch)
+        assert supp_ker_test(ghz_state().to_density(), CUTS) == [True] * 3
+        assert (eigvalsh[0], eigh[0]) == (0, 2 * len(CUTS) + 1)
 
     def test_rejects_a_single_cut_passed_as_the_list(self):
         # one cut where a list of cuts belongs is refused before any work
