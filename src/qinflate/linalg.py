@@ -18,18 +18,18 @@ symmetrisation would return the same array. Arrays that are Hermitian only
 up to rounding -- outer products v v+ under fused multiply-add,
 eigen-reconstructions -- still go through the public constructors.
 
-`partial_trace` and `embed` validate their labels and dimensions once per
-layout pair: the axis bookkeeping is kept in a bounded cache of plans, and a
-failed check is not cached, so it raises on every call.
-
-The witnesses need every subset marginal at once and sums of marginals
-tensored with identities. A private marginal map per layout, kept in a cache
-of the same size, does both on raw arrays through one int32 index into the
-d x d matrix, the positions that are diagonal outside each subset: the
-marginals are one gather and one segmented sum (`np.add.reduceat`), and the
-adjoint, 1 + sum_S w_S Y_S (x) 1, is one repeat and one scatter-add
-(`np.bincount`). Both keep conjugate symmetry bit for bit: an entry and its
-mirror sum conjugate terms in the same order.
+Every marginal and every marginal tensored with identities is read or
+written through one private marginal map per layout, kept in a bounded
+cache: an int32 index into the d x d matrix, the positions that are diagonal
+outside each proper subset S, d sum_S d_S entries (144 at (2,2,2), 27,216 at
+(6,6,6)). `partial_trace` builds it for any layout it is given, gathers the
+kept block and sums each run; `embed` writes an operator into its block,
+exactly, since a block's runs never overlap. The witnesses take every
+marginal in one gather and one segmented sum (`np.add.reduceat`), and the
+adjoint, 1 + sum_S w_S Y_S (x) 1, in one repeat and one scatter-add
+(`np.bincount`). All keep conjugate symmetry bit for bit: an entry and its
+mirror sum conjugate terms in the same order. Labels and dimensions are
+checked on every call, so a failed check raises every time.
 
 LAPACK is asked only for what is read. Whether every eigenvalue of an
 operator exceeds -tol is a sign test, decided by a Cholesky factorisation of
@@ -69,10 +69,9 @@ PSD_TOL = 1e-10
 #: An operator counts as non-positive iff its minimum eigenvalue is below this.
 VERDICT_TOL = 1e-8
 
-# Layout pairs whose `embed` and `partial_trace` plans, and layouts whose
-# marginal maps, are kept, per cache: bounded, so a long scan over many shapes
-# does not grow memory without limit.
-_PLAN_CACHE_SIZE = 512
+# Layouts whose marginal maps are kept: bounded, so a long scan over many
+# shapes does not grow memory without limit.
+_MAP_CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -338,56 +337,34 @@ def permute_subsystems(x: HermitianOperator, new_labels: Sequence[str]) -> Hermi
     return HermitianOperator._trusted(layout, _permute(x.entries, x.layout.dims, perm))
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _embed_plan(
-    layout: SubsystemLayout, full: SubsystemLayout
-) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
-    """How `embed` puts an operator on `layout` into `full`: the permutation
-    of its tensor axes into full's order, the shape that broadcasts them
-    against the missing factors, and the read-only identity tensor over
-    those factors (shaped alike)."""
-    for lab in layout.labels:
-        if lab not in full.labels:
-            raise UnknownLabel(f"label {lab!r} not in target layout {full.labels}")
-        if full.dim_of(lab) != layout.dim_of(lab):
-            raise DimensionError(f"dimension mismatch on label {lab!r}")
-    n = layout.n_subsystems
-    order = [layout.axis(lab) for lab in full.labels if lab in layout.labels]
-    present = [lab in layout.labels for lab in full.labels]
-    shape = tuple(d if p else 1 for d, p in zip(full.dims, present)) * 2
-    rest = tuple(1 if p else d for d, p in zip(full.dims, present)) * 2
-    ident = np.eye(math.prod(rest[: full.n_subsystems])).reshape(rest)
-    ident.setflags(write=False)
-    return tuple(order + [n + p for p in order]), shape, ident
-
-
 def embed(x: HermitianOperator, full: SubsystemLayout) -> HermitianOperator:
-    """Tensor `x` with identities on the factors of `full` it does not cover."""
-    perm, shape, ident = _embed_plan(x.layout, full)
-    t = x.entries.reshape(x.layout.dims * 2).transpose(perm).reshape(shape)
+    """Tensor `x` with identities on the factors of `full` it does not cover:
+    x, in full's factor order, written into its block of full's marginal map."""
+    order = tuple(lab for lab in full.labels if lab in x.layout.labels)
+    if len(order) < x.layout.n_subsystems:
+        raise UnknownLabel(f"labels {x.layout.labels} not all in target layout {full.labels}")
+    x = x if order == x.layout.labels else permute_subsystems(x, order)
+    layout, idx = _marginal_map(full).runs.get(frozenset(order), (full, None))
+    if x.layout.dims != layout.dims:
+        raise DimensionError(f"dimensions {x.layout.dims} on {order}, expected {layout.dims}")
+    if idx is None:
+        return x
     d = full.total_dim
-    return HermitianOperator._trusted(full, (t * ident).reshape(d, d))
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _trace_plan(
-    layout: SubsystemLayout, keep: frozenset
-) -> tuple[SubsystemLayout, tuple[int, ...]]:
-    """The layout `partial_trace` keeps and the axes it traces, back to front
-    so that earlier axis indices stay valid."""
-    kept = layout.restrict(keep)
-    axes = [ax for ax, lab in enumerate(layout.labels) if lab not in kept.labels]
-    return kept, tuple(reversed(axes))
+    out = np.zeros(d * d, dtype=x.entries.dtype)
+    out[idx] = x.entries
+    return HermitianOperator._trusted(full, out.reshape(d, d))
 
 
 def partial_trace(x: HermitianOperator, keep: Iterable[str]) -> HermitianOperator:
-    """Trace out every subsystem not in `keep`; kept factors stay in layout order."""
-    layout, axes = _trace_plan(x.layout, frozenset(keep))
-    t = x.entries.reshape(x.layout.dims * 2)
-    for ax in axes:
-        t = t.trace(axis1=ax, axis2=t.ndim // 2 + ax)
-    d = layout.total_dim
-    return HermitianOperator._trusted(layout, t.reshape(d, d))
+    """Trace out every subsystem not in `keep`; kept factors stay in layout
+    order. Block `keep` of x's marginal map, summed over each run."""
+    keep = frozenset(keep)
+    run = _marginal_map(x.layout).runs.get(keep)
+    if run is None:
+        x.layout.restrict(keep)  # UnknownLabel, or DimensionError on an empty keep
+        return x
+    layout, idx = run
+    return HermitianOperator._trusted(layout, np.take(x.entries, idx).sum(axis=0))
 
 
 class _MarginalMap:
@@ -399,9 +376,12 @@ class _MarginalMap:
     AC, BC); a block's factors stay in layout order. `idx` lists, block by
     block and entry (a, b) by entry, the positions of the flattened matrix
     that are diagonal outside S, one run of c per entry: a marginal entry sums
-    its run, and Y_S (x) 1 puts the entry at every position of its run. int32
-    holds every position of a matrix smaller than 46341 x 46341 (34 GB of
-    complex entries). The arrays are read-only, since the cache shares them.
+    its run, and Y_S (x) 1 puts the entry at every position of its run.
+    `runs[S]` is S's layout and its stretch of `idx` as a (d / d_S, d_S, d_S)
+    view, one run per entry along the first axis. The index has d sum_S d_S
+    entries: 144 at (2,2,2), 27,216 at (6,6,6). int32 holds every position of
+    a matrix smaller than 46341 x 46341 (34 GB of complex entries). The arrays
+    are read-only, since the cache shares them.
     """
 
     def __init__(self, layout: SubsystemLayout) -> None:
@@ -415,14 +395,14 @@ class _MarginalMap:
         )
         self.subsets = tuple(frozenset(sub.labels) for sub in self.layouts)
         grid = np.arange(d * d, dtype=np.int32).reshape(dims * 2)
-        runs = [np.zeros(0, dtype=np.int32)]
+        parts = [np.zeros(0, dtype=np.int32)]
         for keep, sub in zip(keeps, self.layouts):
             rest = [k for k in range(n) if k not in keep]
             ds, dr = sub.total_dim, d // sub.total_dim
             t = grid.transpose([*keep, *(n + k for k in keep), *rest, *(n + k for k in rest)])
-            runs.append(np.diagonal(t.reshape(ds, ds, dr, dr), axis1=2, axis2=3).ravel())
+            parts.append(np.diagonal(t.reshape(ds, ds, dr, dr), axis1=2, axis2=3).ravel())
         sides = np.array([sub.total_dim for sub in self.layouts], dtype=np.intp)
-        self.idx = np.concatenate(runs)
+        self.idx = np.concatenate(parts)
         self.sizes = sides**2
         self.reps = np.repeat(d // sides, self.sizes)
         self.starts = np.cumsum(self.reps) - self.reps
@@ -430,6 +410,11 @@ class _MarginalMap:
         self.spans = tuple(zip((ends - self.sizes).tolist(), ends.tolist(), sides.tolist()))
         for a in (self.idx, self.sizes, self.reps, self.starts):
             a.setflags(write=False)
+        lo = d * np.cumsum(sides) - d * sides
+        self.runs = {
+            sub: (layout, self.idx[a : a + d * s].reshape(s, s, d // s).transpose(2, 0, 1))
+            for sub, layout, a, s in zip(self.subsets, self.layouts, lo.tolist(), sides.tolist())
+        }
 
     def marginals(self, m: np.ndarray) -> np.ndarray:
         """Every block of the d x d matrix `m`, raveled and concatenated."""
@@ -451,7 +436,7 @@ class _MarginalMap:
         return out.reshape(d, d)
 
 
-_marginal_map = functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)(_MarginalMap)
+_marginal_map = functools.lru_cache(maxsize=_MAP_CACHE_SIZE)(_MarginalMap)
 
 
 def partial_transpose(x: HermitianOperator, sub: str) -> HermitianOperator:

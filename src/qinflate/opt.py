@@ -271,6 +271,8 @@ def sweep_tri_bell(
 
 def iota_tilde_crossing(lo: float = 0.70, hi: float = 0.95, iters: int = 12) -> float:
     """Bisect the sign change of the relaxation value over the amplitude axis."""
+    if iters < 1:
+        raise DomainError(f"the crossing needs iters >= 1, got {iters}")
     f_lo = ppt_min(_tri_bell_witness(lo)).value
     f_hi = ppt_min(_tri_bell_witness(hi)).value
     if not (f_lo < 0 < f_hi):

@@ -350,23 +350,25 @@ def measure_local(rho: DensityMatrix, bases: LocalBasis) -> Distribution:
     return Distribution(rho.layout.dims, probs)
 
 
-def nu_decomposition(rho: DensityMatrix, x: str, y: str) -> NuPair:
-    """Orthogonal PSD split nu+ - nu- of rho_x (x) rho_y - rho_xy."""
+def _nu_split(rho: DensityMatrix, x: str, y: str) -> tuple[SubsystemLayout, Spectrum]:
+    """rho_x (x) rho_y - rho_xy's layout (rho_xy's) and its eigenvalues and
+    eigenvectors, from one eigh."""
     if x == y:
         raise UnknownLabel(f"cut labels must differ, got ({x}, {y})")
     rho_xy = partial_trace(rho.op, {x, y})
     rho_x = partial_trace(rho.op, {x})
     rho_y = partial_trace(rho.op, {y})
-    prod = permute_subsystems(kron(rho_x, rho_y), rho_xy.layout.labels)
-    diff = prod - rho_xy
-    spec = Spectrum._with_vectors(diff.entries)
+    diff = permute_subsystems(kron(rho_x, rho_y), rho_xy.layout.labels) - rho_xy
+    return diff.layout, Spectrum._with_vectors(diff.entries)
+
+
+def nu_decomposition(rho: DensityMatrix, x: str, y: str) -> NuPair:
+    """Orthogonal PSD split nu+ - nu- of rho_x (x) rho_y - rho_xy."""
+    layout, spec = _nu_split(rho, x, y)
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     pos = (vecs[:, vals > 0] * vals[vals > 0]) @ vecs[:, vals > 0].conj().T
     neg = (vecs[:, vals < 0] * (-vals[vals < 0])) @ vecs[:, vals < 0].conj().T
-    return NuPair(
-        HermitianOperator(diff.layout, pos),
-        HermitianOperator(diff.layout, neg),
-    )
+    return NuPair(HermitianOperator(layout, pos), HermitianOperator(layout, neg))
 
 
 def is_biseparable_pure(psi: PureState) -> Optional[tuple[str, tuple[str, ...]]]:

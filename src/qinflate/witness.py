@@ -9,8 +9,9 @@ its gather gives every marginal at once, and its adjoint forms
 1 + sum_S w_S rho_S (x) 1 in one scatter. Delta takes the weights (-1)^|S|;
 I_xy takes -1 on x, y and z, +1 on xz and yz and 0 on xy, and adds the
 product term rho_x (x) rho_y (x) 1 through `partial_trace`, `kron` and
-`embed`. The classical cut witness is the diagonal of I_xy on the encoded
-distribution, written out pointwise on the probability tensor.
+`embed`, which read and write blocks of the same map. The classical cut
+witness is the diagonal of I_xy on the encoded distribution, written out
+pointwise on the probability tensor.
 
 `marginals_of` returns the marginals of one joint state as a read-only
 mapping that keeps the map's flat vector, which `hall_delta` trusts to agree
@@ -59,9 +60,9 @@ from .linalg import (
 from .states import (
     Distribution,
     PureState,
+    _nu_split,
     axis_labels,
     ghz_state,
-    nu_decomposition,
     w_state,
 )
 
@@ -139,10 +140,10 @@ class Verdict:
         return self.status == "witnessed_incompatible"
 
 
-def _sorted_entries(op: HermitianOperator) -> tuple[SubsystemLayout, np.ndarray]:
-    """op's layout in alphabetical label order, and op's matrix on it."""
+def _sorted(op: HermitianOperator) -> HermitianOperator:
+    """op with its factors in alphabetical label order."""
     full = op.layout.sorted()
-    return full, (op if full == op.layout else permute_subsystems(op, full.labels)).entries
+    return op if full == op.layout else permute_subsystems(op, full.labels)
 
 
 def _checked_flat(
@@ -151,7 +152,7 @@ def _checked_flat(
     """A mapping of marginals on the proper nonempty subsets of `labels`,
     checked to agree on every overlap, as the marginal map of their joint
     layout and its flat vector of blocks."""
-    blocks: dict[frozenset, tuple[SubsystemLayout, np.ndarray]] = {}
+    blocks: dict[frozenset, HermitianOperator] = {}
     for key, rho in marginals.items():
         key = frozenset(key)
         if not key:
@@ -162,24 +163,24 @@ def _checked_flat(
             raise InvalidParameter(
                 f"a marginal on all of {labels}: Delta sums over proper subsets only"
             )
-        blocks[key] = _sorted_entries(rho.op)
+        blocks[key] = _sorted(rho.op)
     for r in range(1, len(labels)):
         for combo in itertools.combinations(labels, r):
             if frozenset(combo) not in blocks:
                 raise MissingMarginal(f"missing marginal for {combo}")
-    full = SubsystemLayout(tuple(blocks[frozenset({lab})][0].dims[0] for lab in labels), labels)
-    for key, (layout, m) in blocks.items():
-        if layout != full.restrict(key):
-            raise DimensionError(f"marginal on {sorted(key)} has dimensions {layout.dims}")
-        plan = _marginal_map(layout)
-        for sub, reduced in zip(plan.subsets, plan.blocks(plan.marginals(m))):
-            dev = np.max(np.abs(reduced - blocks[sub][1]))
+    full = SubsystemLayout(tuple(blocks[frozenset({lab})].side for lab in labels), labels)
+    for key, op in blocks.items():
+        if op.layout != full.restrict(key):
+            raise DimensionError(f"marginal on {sorted(key)} has dimensions {op.layout.dims}")
+        plan = _marginal_map(op.layout)
+        for sub, reduced in zip(plan.subsets, plan.blocks(plan.marginals(op.entries))):
+            dev = np.max(np.abs(reduced - blocks[sub].entries))
             if dev > EQUIMARGINAL_TOL:
                 raise InconsistentMarginals(
                     f"marginal of {sorted(key)} on {sorted(sub)} deviates by {dev:.3e}"
                 )
     plan = _marginal_map(full)
-    return plan, np.concatenate([blocks[sub][1].ravel() for sub in plan.subsets])
+    return plan, np.concatenate([blocks[sub].entries.ravel() for sub in plan.subsets])
 
 
 def hall_delta(marginals: Mapping[frozenset, DensityMatrix]) -> WitnessOperator:
@@ -242,9 +243,9 @@ def marginals_of(rho: DensityMatrix) -> Mapping[frozenset, DensityMatrix]:
     trusts the returned mapping; a mutable copy (`dict(...)`) is checked like
     any other input.
     """
-    full, m = _sorted_entries(rho.op)
-    plan = _marginal_map(full)
-    return _JointMarginals(plan, plan.marginals(m))
+    op = _sorted(rho.op)
+    plan = _marginal_map(op.layout)
+    return _JointMarginals(plan, plan.marginals(op.entries))
 
 
 def _cut_labels(labels: tuple[str, ...], cut: tuple[str, str]) -> tuple[str, str, str]:
@@ -278,13 +279,13 @@ def cut_witness_quantum(
     if op.layout.n_subsystems != 3:
         raise DimensionError("cut witness needs exactly three subsystems")
     x, y, z = _cut_labels(op.layout.labels, cut)
-    full, m = _sorted_entries(op)
-    plan = _marginal_map(full)
+    op = _sorted(op)
+    plan = _marginal_map(op.layout)
     # -rho_x - rho_y - rho_z + rho_xz + rho_yz; rho_xy is replaced by the product
     weights = [-1.0 if len(sub) == 1 else float(z in sub) for sub in plan.subsets]
-    acc = plan.adjoint(plan.marginals(m), weights)
-    acc += embed(kron(partial_trace(op, {x}), partial_trace(op, {y})), full).entries
-    return WitnessOperator(HermitianOperator._trusted(full, acc), f"cut:{x}{y}")
+    acc = plan.adjoint(plan.marginals(op.entries), weights)
+    acc += embed(kron(partial_trace(op, {x}), partial_trace(op, {y})), op.layout).entries
+    return WitnessOperator(HermitianOperator._trusted(op.layout, acc), f"cut:{x}{y}")
 
 
 def cut_witness_classical(p: Distribution, cut: tuple[str, str]) -> np.ndarray:
@@ -317,14 +318,16 @@ def verdict(
     verdict is decided on the minimum eigenvalue, so a witnessed verdict
     always agrees with the spectrum. A spectrum read before the verdict is
     decided on directly. A nonnegative witness is never proof of
-    compatibility, hence the inconclusive branch carries no evidence. A
-    non-finite witness, or a tolerance that is not a finite number >= 0,
-    raises.
+    compatibility, hence the inconclusive branch carries no evidence. An
+    empty or non-finite witness, or a tolerance that is not a finite number
+    >= 0, raises.
     """
     if not 0.0 <= tol < np.inf:  # False for NaN too
         raise InvalidParameter(f"verdict tolerance must be finite and >= 0, got {tol!r}")
     is_op = isinstance(w, WitnessOperator)
     t = w.entries if is_op else np.asarray(w, dtype=float)
+    if not t.size:
+        raise InvalidParameter("witness has no values")
     if not np.isfinite(t).all():
         raise InvalidParameter("witness has non-finite values")
     if is_op:
@@ -355,13 +358,13 @@ def verdict(
 def supp_ker_test(rho: DensityMatrix, cuts: Iterable[tuple[str, str]]) -> list[bool]:
     """Per cut, whether supp(nu_minus (x) 1_z) meets ker(Delta of the marginals).
 
-    Decided on orthonormal bases: U holds the eigenvectors of nu_minus (x) 1_z
-    with eigenvalue above DEFAULT_RANK_TOL; K holds those of Delta with
-    |eigenvalue| at most DEFAULT_RANK_TOL, read off Delta's own spectrum once,
-    when a cut first has a nonempty U (Delta does not depend on the cut). The
-    spans meet iff their smallest principal angle is 0, i.e. the largest
-    singular value of U+ K (the cosine of that angle; Bjorck & Golub 1973) is
-    1; it counts as 1 when its square is within DEFAULT_ANGLE_TOL of 1.
+    Decided on orthonormal bases: U = V (x) 1_z, V the eigenvectors of
+    rho_x (x) rho_y - rho_xy below -DEFAULT_RANK_TOL from the eigh that splits
+    nu; K those of Delta with |eigenvalue| at most DEFAULT_RANK_TOL, computed
+    once, when a cut first has a nonempty V. The spans meet iff the largest
+    singular value of U+ K, the cosine of their smallest principal angle
+    (Bjorck & Golub 1973), is 1: its square within DEFAULT_ANGLE_TOL of 1. It
+    is computed as that of P K, P = V V+ embedded.
     """
     if rho.layout.n_subsystems != 3:
         raise DimensionError("support/kernel test needs exactly three subsystems")
@@ -370,12 +373,15 @@ def supp_ker_test(rho: DensityMatrix, cuts: Iterable[tuple[str, str]]) -> list[b
     ker = None
     out = []
     for x, y in cuts:
-        nu = Spectrum._with_vectors(embed(nu_decomposition(rho, x, y).nu_minus, full).entries)
-        supp = nu.eigenvectors[:, nu.eigenvalues > DEFAULT_RANK_TOL]
-        if ker is None and supp.size:
-            delta = Spectrum._with_vectors(hall_delta(marginals_of(rho)).entries)
-            ker = delta.eigenvectors[:, np.abs(delta.eigenvalues) <= DEFAULT_RANK_TOL]
-        cos = np.linalg.norm(supp.conj().T @ ker, 2) if supp.size else 0.0
+        layout, split = _nu_split(rho, x, y)
+        v = split.eigenvectors[:, split.eigenvalues < -DEFAULT_RANK_TOL]
+        cos = 0.0
+        if v.size:
+            if ker is None:
+                delta = Spectrum._with_vectors(hall_delta(marginals_of(rho)).entries)
+                ker = delta.eigenvectors[:, np.abs(delta.eigenvalues) <= DEFAULT_RANK_TOL]
+            proj = embed(HermitianOperator(layout, v @ v.conj().T), full).entries
+            cos = np.linalg.norm(proj @ ker, 2)
         out.append(bool(cos**2 >= 1.0 - DEFAULT_ANGLE_TOL))
     return out
 

@@ -326,3 +326,11 @@ class TestCrossing:
     def test_bad_bracket(self):
         with pytest.raises(DomainError):
             iota_tilde_crossing(lo=0.9, hi=0.95)
+
+    @pytest.mark.parametrize("iters", [0, -3])
+    def test_no_iterations_rejected(self, monkeypatch, iters):
+        # refused before any relaxation is solved, not answered with the
+        # bracket's midpoint
+        monkeypatch.setattr(opt, "ppt_min", None)
+        with pytest.raises(DomainError, match="iters"):
+            iota_tilde_crossing(0.70, 0.95, iters=iters)

@@ -2,15 +2,16 @@
 
 The Kronecker and embedding kernels are compared bit for bit with the
 np.kron formulas they stand in for, on layouts with local dimensions 1-4 and
-labels in no particular order. The marginal map is compared with the
-summation oracle, its adjoint is checked against the trace pairing, and the
-cut witnesses against their entry-by-entry oracle. The operations that build their results
-without re-validation are checked to return exactly conjugate-symmetric
-matrices, the invariant that makes skipping the checks exact, while the
-public constructors still refuse malformed input. The eigenvectors a
-spectrum computes on first read diagonalise the matrix its eigenvalues came
-from, degenerate spectra included, and a witnessed verdict's evidence is a
-unit vector attaining the minimum.
+labels in no particular order. The marginal map and the partial trace read
+from it are compared with the summation oracle, the map's adjoint is checked
+against the trace pairing, and the cut witnesses against their entry-by-entry
+oracle. The operations that build their results without re-validation are
+checked to return exactly conjugate-symmetric matrices, the invariant that
+makes skipping the checks exact, while the public constructors still refuse
+malformed input. The eigenvectors a spectrum computes on first read
+diagonalise the matrix its eigenvalues came from, degenerate spectra
+included, and a witnessed verdict's evidence is a unit vector attaining the
+minimum.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from hypothesis import strategies as st
 
 from qinflate.cli import FAMILIES, load_state, main, save_state
 from qinflate.dag import build_cut_inflation, build_triangle, format_dag, parse_dag
-from qinflate.errors import DimensionError, DuplicateLabel, InvalidParameter, NotHermitian
+from qinflate.errors import (
+    DimensionError,
+    DuplicateLabel,
+    InvalidParameter,
+    NotHermitian,
+    UnknownLabel,
+)
 from qinflate.linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -142,6 +149,22 @@ def test_marginal_map_blocks_match_oracle(layout, seed):
         keep = tuple(k for k, lab in enumerate(layout.labels) if lab in sub)
         assert sub_layout == layout.restrict(sub)
         assert np.max(np.abs(block - partial_trace_oracle(m, layout.dims, keep))) < 1e-12
+
+
+@SETTINGS
+@given(st.data(), small_layouts, seeds)
+def test_partial_trace_matches_oracle(data, layout, seed):
+    x = _random_hermitian(layout, seed)
+    keep = data.draw(st.lists(st.sampled_from(layout.labels), min_size=1, unique=True))
+    got = partial_trace(x, keep)
+    assert got.layout == layout.restrict(keep)
+    axes = tuple(k for k, lab in enumerate(layout.labels) if lab in keep)
+    assert np.max(np.abs(got.entries - partial_trace_oracle(x.entries, layout.dims, axes))) < 1e-12
+    stray = data.draw(st.sampled_from("FGZ"))
+    with pytest.raises(UnknownLabel):
+        partial_trace(x, [*keep, stray])
+    with pytest.raises(DimensionError):
+        partial_trace(x, [])
 
 
 @SETTINGS

@@ -352,6 +352,12 @@ class TestVerdict:
         with pytest.raises(InvalidParameter, match="non-finite"):
             verdict(np.array([[bad, 0.1], [0.2, 0.3]]))
 
+    @pytest.mark.parametrize("empty", [[], [[]], np.zeros((2, 0, 3))])
+    def test_empty_tensor_rejected(self, empty):
+        # an empty witness has no minimum to decide on
+        with pytest.raises(InvalidParameter, match="no values"):
+            verdict(np.array(empty))
+
 
 def _count_calls(monkeypatch, name: str) -> list[int]:
     """Replace np.linalg.<name> by a wrapper counting its calls in calls[0]."""
@@ -565,11 +571,12 @@ class TestSuppKerTest:
         assert any(supp_ker_test(rho, CUTS))
 
     def test_one_eigh_per_decomposition(self, monkeypatch):
-        # per cut: nu's split and nu_minus (x) 1, then Delta once; every one
-        # of them reads its vectors, so none runs eigvalsh first
+        # per cut: nu's split, whose negative eigenvectors span nu_minus's
+        # support, then Delta once; every one of them reads its vectors, so
+        # none runs eigvalsh first, and nothing is diagonalised on the full space
         eigvalsh, eigh = _count_eigensolves(monkeypatch)
         assert supp_ker_test(ghz_state().to_density(), CUTS) == [True] * 3
-        assert (eigvalsh[0], eigh[0]) == (0, 2 * len(CUTS) + 1)
+        assert (eigvalsh[0], eigh[0]) == (0, len(CUTS) + 1)
 
     def test_rejects_a_single_cut_passed_as_the_list(self):
         # one cut where a list of cuts belongs is refused before any work
