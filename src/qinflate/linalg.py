@@ -6,27 +6,28 @@ rather than by axis bookkeeping at every call site.
 
 Validation happens once, at the boundary. The public constructors of
 :class:`SubsystemLayout`, :class:`HermitianOperator` and
-:class:`DensityMatrix` check every input (shape, finiteness, Hermiticity,
-distinct labels, trace and positivity) and symmetrise the matrix. The
-operations on validated operators -- `partial_trace`, `partial_transpose`,
-`permute_subsystems`, `embed`, `kron`, `+`, `-` and real `*` -- build their
-results through the private `_trusted` constructors, unchecked. That is
-exact, not an approximation: sums, real scalings, index permutations and
-Kronecker products of conjugate pairs (operands kept in the same order) are
-conjugate-symmetric bit for bit in IEEE arithmetic, so the skipped
-symmetrisation would return the same array. Arrays that are Hermitian only
-up to rounding -- outer products v v+ under fused multiply-add,
-eigen-reconstructions -- still go through the public constructors.
+:class:`DensityMatrix` check every input (integer dimensions, distinct str
+labels, shape, finiteness, Hermiticity, trace and positivity) and symmetrise
+the matrix. The operations on validated operators -- `partial_trace`,
+`partial_transpose`, `permute_subsystems`, `embed`, `kron`, `+`, `-` and
+real `*` -- build their results through the private `_trusted`
+constructors, unchecked. That is exact, not an approximation: sums, real
+scalings, index permutations and Kronecker products of conjugate pairs
+(operands kept in the same order) are conjugate-symmetric bit for bit in
+IEEE arithmetic, so the skipped symmetrisation would return the same array.
+Arrays that are Hermitian only up to rounding -- outer products v v+ under
+fused multiply-add, eigen-reconstructions -- still go through the public
+constructors.
 
 Every marginal and every marginal tensored with identities is read or
-written through one private marginal map per layout, kept in a bounded
-cache: an int32 index into the d x d matrix, the positions that are diagonal
-outside each proper subset S, d sum_S d_S entries (144 at (2,2,2), 27,216 at
-(6,6,6)). `partial_trace` builds it for any layout it is given, gathers the
-kept block and sums each run; `embed` writes an operator into its block,
-exactly, since a block's runs never overlap. The witnesses take every
-marginal in one gather and one segmented sum (`np.add.reduceat`), and the
-adjoint, 1 + sum_S w_S Y_S (x) 1, in one repeat and one scatter-add
+written through a private marginal map, keyed on a layout and the subsets S
+asked of it, in a bounded cache: an int32 index of the positions diagonal
+outside each S, d sum_S d_S entries built from row offsets, no d x d grid.
+`partial_trace` and `embed` ask for the one set they touch: a trace gathers
+the block and sums each run, and an embedding writes into it, exactly, since
+a block's runs never overlap. The witnesses ask for every proper subset and
+take every marginal in one gather and one segmented sum (`np.add.reduceat`),
+and the adjoint, 1 + sum_S w_S Y_S (x) 1, in one repeat and one scatter-add
 (`np.bincount`). All keep conjugate symmetry bit for bit: an entry and its
 mirror sum conjugate terms in the same order. Labels and dimensions are
 checked on every call, so a failed check raises every time.
@@ -69,9 +70,21 @@ PSD_TOL = 1e-10
 #: An operator counts as non-positive iff its minimum eigenvalue is below this.
 VERDICT_TOL = 1e-8
 
-# Layouts whose marginal maps are kept: bounded, so a long scan over many
-# shapes does not grow memory without limit.
+# Marginal maps kept, one per (layout, sets) key: bounded, so a long scan over
+# many shapes does not grow memory without limit.
 _MAP_CACHE_SIZE = 512
+
+
+def _checked_dims(dims: Iterable, what: str) -> tuple[int, ...]:
+    """`dims` as plain ints >= 1; numpy integers pass, bools and floats do not."""
+    dims = tuple(dims)
+    for d in dims:
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+            raise DimensionError(f"{what} must be integers, got {d!r}")
+    dims = tuple(map(int, dims))
+    if any(d < 1 for d in dims):
+        raise DimensionError(f"{what} must be >= 1, got {dims}")
+    return dims
 
 
 @dataclass(frozen=True)
@@ -82,12 +95,14 @@ class SubsystemLayout:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(map(int, self.dims)))
-        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
+        object.__setattr__(self, "dims", _checked_dims(self.dims, "local dimensions"))
+        labels = tuple(self.labels)
+        for lab in labels:
+            if not isinstance(lab, str):
+                raise UnknownLabel(f"labels must be strings, got {lab!r}")
+        object.__setattr__(self, "labels", tuple(map(str, labels)))
         if len(self.dims) != len(self.labels) or len(self.dims) < 1:
             raise DimensionError("layout needs one label per dimension, at least one")
-        if min(self.dims) < 1:
-            raise DimensionError(f"local dimensions must be >= 1, got {self.dims}")
         if len(set(self.labels)) != len(self.labels):
             raise DuplicateLabel(f"repeated labels in {self.labels}")
 
@@ -337,70 +352,70 @@ def permute_subsystems(x: HermitianOperator, new_labels: Sequence[str]) -> Hermi
     return HermitianOperator._trusted(layout, _permute(x.entries, x.layout.dims, perm))
 
 
+def _sorted(op: HermitianOperator) -> HermitianOperator:
+    """op with its factors in alphabetical label order."""
+    full = op.layout.sorted()
+    return op if full == op.layout else permute_subsystems(op, full.labels)
+
+
 def embed(x: HermitianOperator, full: SubsystemLayout) -> HermitianOperator:
     """Tensor `x` with identities on the factors of `full` it does not cover:
     x, in full's factor order, written into its block of full's marginal map."""
-    order = tuple(lab for lab in full.labels if lab in x.layout.labels)
-    if len(order) < x.layout.n_subsystems:
-        raise UnknownLabel(f"labels {x.layout.labels} not all in target layout {full.labels}")
-    x = x if order == x.layout.labels else permute_subsystems(x, order)
-    layout, idx = _marginal_map(full).runs.get(frozenset(order), (full, None))
-    if x.layout.dims != layout.dims:
-        raise DimensionError(f"dimensions {x.layout.dims} on {order}, expected {layout.dims}")
-    if idx is None:
-        return x
+    sub, runs = _block(full, frozenset(x.layout.labels))
+    x = x if sub.labels == x.layout.labels else permute_subsystems(x, sub.labels)
+    if x.layout.dims != sub.dims:
+        raise DimensionError(f"dimensions {x.layout.dims} on {sub.labels}, expected {sub.dims}")
     d = full.total_dim
     out = np.zeros(d * d, dtype=x.entries.dtype)
-    out[idx] = x.entries
+    out[runs] = x.entries
     return HermitianOperator._trusted(full, out.reshape(d, d))
 
 
 def partial_trace(x: HermitianOperator, keep: Iterable[str]) -> HermitianOperator:
     """Trace out every subsystem not in `keep`; kept factors stay in layout
     order. Block `keep` of x's marginal map, summed over each run."""
-    keep = frozenset(keep)
-    run = _marginal_map(x.layout).runs.get(keep)
-    if run is None:
-        x.layout.restrict(keep)  # UnknownLabel, or DimensionError on an empty keep
-        return x
-    layout, idx = run
-    return HermitianOperator._trusted(layout, np.take(x.entries, idx).sum(axis=0))
+    if isinstance(keep, str):
+        raise UnknownLabel(f"keep {keep!r} must be a collection of labels, not one string")
+    layout, runs = _block(x.layout, frozenset(keep))
+    return HermitianOperator._trusted(layout, np.take(x.entries, runs).sum(axis=0))
+
+
+def _block(layout: SubsystemLayout, keep: frozenset) -> tuple[SubsystemLayout, np.ndarray]:
+    """`keep`'s layout and one-set map index, as (d / d_S, d_S, d_S) runs."""
+    plan = _marginal_map(layout, (keep,))
+    s = plan.spans[0][2]
+    return plan.layouts[0], plan.idx.reshape(s, s, -1).transpose(2, 0, 1)
 
 
 class _MarginalMap:
-    """The marginals of a raw d x d matrix on `layout` on every proper nonempty
-    subset S of its factors, and the adjoint map, through one index.
+    """The marginals of a raw d x d matrix on `layout` on the nonempty subsets
+    `sets` of its factors, and the adjoint map, through one index.
 
     Block S holds Y_S[a, b] = sum_c m[(a, c), (b, c)], c running over the
-    factors outside S. Blocks go by size, then in layout order (A, B, C, AB,
-    AC, BC); a block's factors stay in layout order. `idx` lists, block by
-    block and entry (a, b) by entry, the positions of the flattened matrix
-    that are diagonal outside S, one run of c per entry: a marginal entry sums
-    its run, and Y_S (x) 1 puts the entry at every position of its run.
-    `runs[S]` is S's layout and its stretch of `idx` as a (d / d_S, d_S, d_S)
-    view, one run per entry along the first axis. The index has d sum_S d_S
-    entries: 144 at (2,2,2), 27,216 at (6,6,6). int32 holds every position of
-    a matrix smaller than 46341 x 46341 (34 GB of complex entries). The arrays
+    factors outside S. Blocks follow `sets`; a block's factors stay in layout
+    order. `idx` lists, block by block and entry (a, b) by entry, the
+    positions of the flattened matrix that are diagonal outside S, one run of
+    c per entry: a marginal entry sums its run, and Y_S (x) 1 puts the entry
+    at every position of its run: d r_S(a) + r_S(b) + (d + 1) r_R(c), r_S and
+    r_R the row offsets of the kept and traced factors. The index has
+    d sum_S d_S entries: 512 for one qubit of eight, 144 for every proper
+    subset at (2,2,2), 27,216 at (6,6,6). int32 holds every position of a
+    matrix smaller than 46341 x 46341 (34 GB of complex entries). The arrays
     are read-only, since the cache shares them.
     """
 
-    def __init__(self, layout: SubsystemLayout) -> None:
-        n, dims, d = layout.n_subsystems, layout.dims, layout.total_dim
-        keeps = [keep for r in range(1, n) for keep in itertools.combinations(range(n), r)]
-        self.layout = layout
-        self.layouts = tuple(
-            SubsystemLayout._trusted(tuple(dims[k] for k in keep),
-                                     tuple(layout.labels[k] for k in keep))
-            for keep in keeps
-        )
-        self.subsets = tuple(frozenset(sub.labels) for sub in self.layouts)
-        grid = np.arange(d * d, dtype=np.int32).reshape(dims * 2)
+    def __init__(self, layout: SubsystemLayout, sets: tuple[frozenset, ...]) -> None:
+        d = layout.total_dim
+        rows = np.arange(d, dtype=np.int32).reshape(layout.dims)
+        self.layout, self.sets = layout, sets
+        self.layouts = tuple(layout.restrict(keep) for keep in sets)  # UnknownLabel, DimensionError
         parts = [np.zeros(0, dtype=np.int32)]
-        for keep, sub in zip(keeps, self.layouts):
-            rest = [k for k in range(n) if k not in keep]
-            ds, dr = sub.total_dim, d // sub.total_dim
-            t = grid.transpose([*keep, *(n + k for k in keep), *rest, *(n + k for k in rest)])
-            parts.append(np.diagonal(t.reshape(ds, ds, dr, dr), axis1=2, axis2=3).ravel())
+        for keep in sets:
+            # r_S and r_R: the rows with every traced, or every kept, factor at 0
+            kept = [lab in keep for lab in layout.labels]
+            rs = rows[tuple(slice(None) if k else 0 for k in kept)].ravel()
+            rr = rows[tuple(0 if k else slice(None) for k in kept)].ravel()
+            parts.append((d * rs[:, None, None] + rs[None, :, None] + (d + 1) * rr).ravel())
         sides = np.array([sub.total_dim for sub in self.layouts], dtype=np.intp)
         self.idx = np.concatenate(parts)
         self.sizes = sides**2
@@ -410,11 +425,6 @@ class _MarginalMap:
         self.spans = tuple(zip((ends - self.sizes).tolist(), ends.tolist(), sides.tolist()))
         for a in (self.idx, self.sizes, self.reps, self.starts):
             a.setflags(write=False)
-        lo = d * np.cumsum(sides) - d * sides
-        self.runs = {
-            sub: (layout, self.idx[a : a + d * s].reshape(s, s, d // s).transpose(2, 0, 1))
-            for sub, layout, a, s in zip(self.subsets, self.layouts, lo.tolist(), sides.tolist())
-        }
 
     def marginals(self, m: np.ndarray) -> np.ndarray:
         """Every block of the d x d matrix `m`, raveled and concatenated."""
@@ -437,6 +447,14 @@ class _MarginalMap:
 
 
 _marginal_map = functools.lru_cache(maxsize=_MAP_CACHE_SIZE)(_MarginalMap)
+
+
+@functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
+def _proper_subsets(labels: tuple[str, ...]) -> tuple[frozenset, ...]:
+    """The witnesses' sets: every proper nonempty subset of `labels`, by size,
+    then in label order (A, B, C, AB, AC, BC)."""
+    return tuple(frozenset(c) for r in range(1, len(labels))
+                 for c in itertools.combinations(labels, r))
 
 
 def partial_transpose(x: HermitianOperator, sub: str) -> HermitianOperator:

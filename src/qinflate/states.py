@@ -25,10 +25,11 @@ from .linalg import (
     HermitianOperator,
     Spectrum,
     SubsystemLayout,
+    _checked_dims,
+    _sorted,
     hermitian_eig,
     kron,
     partial_trace,
-    permute_subsystems,
 )
 
 NORM_TOL = 1e-10
@@ -87,9 +88,7 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.outcome_dims)
-        if any(d < 1 for d in dims):
-            raise DimensionError(f"outcome dimensions must be >= 1, got {dims}")
+        dims = _checked_dims(self.outcome_dims, "outcome dimensions")
         object.__setattr__(self, "outcome_dims", dims)
         p = np.array(self.probs, dtype=float).reshape(-1)
         if p.shape != (int(np.prod(dims)),):
@@ -351,14 +350,14 @@ def measure_local(rho: DensityMatrix, bases: LocalBasis) -> Distribution:
 
 
 def _nu_split(rho: DensityMatrix, x: str, y: str) -> tuple[SubsystemLayout, Spectrum]:
-    """rho_x (x) rho_y - rho_xy's layout (rho_xy's) and its eigenvalues and
-    eigenvectors, from one eigh."""
+    """rho_a (x) rho_b - rho_ab, {a, b} = {x, y} and a < b, from the sorted
+    operator: its layout and its eigenvalues and eigenvectors, from one eigh."""
     if x == y:
         raise UnknownLabel(f"cut labels must differ, got ({x}, {y})")
-    rho_xy = partial_trace(rho.op, {x, y})
-    rho_x = partial_trace(rho.op, {x})
-    rho_y = partial_trace(rho.op, {y})
-    diff = permute_subsystems(kron(rho_x, rho_y), rho_xy.layout.labels) - rho_xy
+    op = _sorted(rho.op)
+    rho_ab = partial_trace(op, {x, y})
+    a, b = rho_ab.layout.labels
+    diff = kron(partial_trace(op, {a}), partial_trace(op, {b})) - rho_ab
     return diff.layout, Spectrum._with_vectors(diff.entries)
 
 

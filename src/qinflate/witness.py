@@ -4,14 +4,14 @@ Builds the inclusion-exclusion operator Delta from subset marginals and the
 cut witnesses I_xy, quantum and classical. I_xy is Delta on the marginals of
 the cut inflation, where x and y share no source, so rho_xy becomes
 rho_x (x) rho_y. Both are linear in the subset marginals, so both come from
-one marginal map per (alphabetically sorted) layout, `linalg._MarginalMap`:
-its gather gives every marginal at once, and its adjoint forms
-1 + sum_S w_S rho_S (x) 1 in one scatter. Delta takes the weights (-1)^|S|;
-I_xy takes -1 on x, y and z, +1 on xz and yz and 0 on xy, and adds the
-product term rho_x (x) rho_y (x) 1 through `partial_trace`, `kron` and
-`embed`, which read and write blocks of the same map. The classical cut
-witness is the diagonal of I_xy on the encoded distribution, written out
-pointwise on the probability tensor.
+the marginal map of every proper subset of the alphabetically sorted layout,
+`linalg._MarginalMap`: its gather gives every marginal at once, and its
+adjoint forms 1 + sum_S w_S rho_S (x) 1 in one scatter. Delta takes the
+weights (-1)^|S|; I_xy takes -1 on x, y and z, +1 on xz and yz and 0 on xy,
+and adds the product term rho_x (x) rho_y (x) 1 through `partial_trace`,
+`kron` and `embed`, which read and write one-set maps of the same layout.
+The classical cut witness is the diagonal of I_xy on the encoded
+distribution, written out pointwise on the probability tensor.
 
 `marginals_of` returns the marginals of one joint state as a read-only
 mapping that keeps the map's flat vector, which `hall_delta` trusts to agree
@@ -51,6 +51,8 @@ from .linalg import (
     _eigenvalues_above,
     _MarginalMap,
     _marginal_map,
+    _proper_subsets,
+    _sorted,
     embed,
     hermitian_eig,
     kron,
@@ -140,12 +142,6 @@ class Verdict:
         return self.status == "witnessed_incompatible"
 
 
-def _sorted(op: HermitianOperator) -> HermitianOperator:
-    """op with its factors in alphabetical label order."""
-    full = op.layout.sorted()
-    return op if full == op.layout else permute_subsystems(op, full.labels)
-
-
 def _checked_flat(
     marginals: Mapping[frozenset, DensityMatrix], labels: list[str]
 ) -> tuple[_MarginalMap, np.ndarray]:
@@ -172,15 +168,15 @@ def _checked_flat(
     for key, op in blocks.items():
         if op.layout != full.restrict(key):
             raise DimensionError(f"marginal on {sorted(key)} has dimensions {op.layout.dims}")
-        plan = _marginal_map(op.layout)
-        for sub, reduced in zip(plan.subsets, plan.blocks(plan.marginals(op.entries))):
+        plan = _marginal_map(op.layout, _proper_subsets(op.layout.labels))
+        for sub, reduced in zip(plan.sets, plan.blocks(plan.marginals(op.entries))):
             dev = np.max(np.abs(reduced - blocks[sub].entries))
             if dev > EQUIMARGINAL_TOL:
                 raise InconsistentMarginals(
                     f"marginal of {sorted(key)} on {sorted(sub)} deviates by {dev:.3e}"
                 )
-    plan = _marginal_map(full)
-    return plan, np.concatenate([blocks[sub].entries.ravel() for sub in plan.subsets])
+    plan = _marginal_map(full, _proper_subsets(full.labels))
+    return plan, np.concatenate([blocks[sub].entries.ravel() for sub in plan.sets])
 
 
 def hall_delta(marginals: Mapping[frozenset, DensityMatrix]) -> WitnessOperator:
@@ -200,7 +196,7 @@ def hall_delta(marginals: Mapping[frozenset, DensityMatrix]) -> WitnessOperator:
         plan, flat = marginals.plan, marginals.flat
     else:
         plan, flat = _checked_flat(marginals, labels)
-    signs = [(-1.0) ** len(sub) for sub in plan.subsets]
+    signs = [(-1.0) ** len(sub) for sub in plan.sets]
     return WitnessOperator(
         HermitianOperator._trusted(plan.layout, plan.adjoint(flat, signs)), "hall_delta"
     )
@@ -217,7 +213,7 @@ class _JointMarginals(Mapping):
         self.plan, self.flat = plan, flat
         self._marginals = {
             sub: DensityMatrix._trusted(HermitianOperator._trusted(layout, block))
-            for sub, layout, block in zip(plan.subsets, plan.layouts, plan.blocks(flat))
+            for sub, layout, block in zip(plan.sets, plan.layouts, plan.blocks(flat))
         }
 
     def __getitem__(self, key: frozenset) -> DensityMatrix:
@@ -244,7 +240,7 @@ def marginals_of(rho: DensityMatrix) -> Mapping[frozenset, DensityMatrix]:
     any other input.
     """
     op = _sorted(rho.op)
-    plan = _marginal_map(op.layout)
+    plan = _marginal_map(op.layout, _proper_subsets(op.layout.labels))
     return _JointMarginals(plan, plan.marginals(op.entries))
 
 
@@ -280,9 +276,9 @@ def cut_witness_quantum(
         raise DimensionError("cut witness needs exactly three subsystems")
     x, y, z = _cut_labels(op.layout.labels, cut)
     op = _sorted(op)
-    plan = _marginal_map(op.layout)
+    plan = _marginal_map(op.layout, _proper_subsets(op.layout.labels))
     # -rho_x - rho_y - rho_z + rho_xz + rho_yz; rho_xy is replaced by the product
-    weights = [-1.0 if len(sub) == 1 else float(z in sub) for sub in plan.subsets]
+    weights = [-1.0 if len(sub) == 1 else float(z in sub) for sub in plan.sets]
     acc = plan.adjoint(plan.marginals(op.entries), weights)
     acc += embed(kron(partial_trace(op, {x}), partial_trace(op, {y})), op.layout).entries
     return WitnessOperator(HermitianOperator._trusted(op.layout, acc), f"cut:{x}{y}")
@@ -319,12 +315,14 @@ def verdict(
     always agrees with the spectrum. A spectrum read before the verdict is
     decided on directly. A nonnegative witness is never proof of
     compatibility, hence the inconclusive branch carries no evidence. An
-    empty or non-finite witness, or a tolerance that is not a finite number
-    >= 0, raises.
+    empty, complex (for a tensor) or non-finite witness, or a tolerance that
+    is not a finite number >= 0, raises.
     """
     if not 0.0 <= tol < np.inf:  # False for NaN too
         raise InvalidParameter(f"verdict tolerance must be finite and >= 0, got {tol!r}")
     is_op = isinstance(w, WitnessOperator)
+    if not is_op and np.iscomplexobj(w):
+        raise InvalidParameter("a classical witness has real values, got complex ones")
     t = w.entries if is_op else np.asarray(w, dtype=float)
     if not t.size:
         raise InvalidParameter("witness has no values")
@@ -369,7 +367,7 @@ def supp_ker_test(rho: DensityMatrix, cuts: Iterable[tuple[str, str]]) -> list[b
     if rho.layout.n_subsystems != 3:
         raise DimensionError("support/kernel test needs exactly three subsystems")
     cuts = [_cut_labels(rho.layout.labels, cut)[:2] for cut in cuts]
-    full = rho.layout.sorted()
+    rho = DensityMatrix._trusted(_sorted(rho.op))  # sorted once, for every nu split and Delta
     ker = None
     out = []
     for x, y in cuts:
@@ -380,7 +378,7 @@ def supp_ker_test(rho: DensityMatrix, cuts: Iterable[tuple[str, str]]) -> list[b
             if ker is None:
                 delta = Spectrum._with_vectors(hall_delta(marginals_of(rho)).entries)
                 ker = delta.eigenvectors[:, np.abs(delta.eigenvalues) <= DEFAULT_RANK_TOL]
-            proj = embed(HermitianOperator(layout, v @ v.conj().T), full).entries
+            proj = embed(HermitianOperator(layout, v @ v.conj().T), rho.layout).entries
             cos = np.linalg.norm(proj @ ker, 2)
         out.append(bool(cos**2 >= 1.0 - DEFAULT_ANGLE_TOL))
     return out

@@ -115,6 +115,13 @@ class TestMalformedStateFiles:
         doc = {"layout": layout, "kind": "distribution", "data": list(ghz_distn().probs)}
         assert "repeated labels" in _run_bad_file(tmp_path, capsys, doc)
 
+    def test_null_label(self, tmp_path, capsys):
+        # str(None) would make a factor labelled 'None' and witness the GHZ state
+        layout = [{"label": None, "dim": 2}] + QUBIT_LAYOUT[1:]
+        data = [[float(a.real), float(a.imag)] for a in ghz_state().amplitudes]
+        err = _run_bad_file(tmp_path, capsys, {"layout": layout, "kind": "pure", "data": data})
+        assert "labels must be strings, got None" in err
+
     def test_reordered_distribution_labels(self, tmp_path, capsys):
         layout = [{"label": s, "dim": 2} for s in "BAC"]
         doc = {"layout": layout, "kind": "distribution", "data": list(ghz_distn().probs)}

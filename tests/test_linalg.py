@@ -18,6 +18,7 @@ from qinflate.linalg import (
     DensityMatrix,
     HermitianOperator,
     SubsystemLayout,
+    _marginal_map,
     embed,
     hermitian_eig,
     kron,
@@ -26,7 +27,7 @@ from qinflate.linalg import (
     partial_transpose,
     permute_subsystems,
 )
-from qinflate.states import ghz_state, random_density_matrix
+from qinflate.states import ghz_state, random_density_matrix, random_pure_state
 
 from oracles import eig2x2, embed_oracle, jacobi_eigh, kron_oracle, partial_trace_oracle
 
@@ -70,6 +71,22 @@ class TestSubsystemLayout:
     def test_unknown_label(self):
         with pytest.raises(UnknownLabel):
             QUBIT3.axis("X")
+
+    @pytest.mark.parametrize("dims", [(2.7, 2), (True, 2), (2, 2.0), ("2", 2)])
+    def test_non_integer_dims_refused(self, dims):
+        with pytest.raises(DimensionError, match="integers"):
+            SubsystemLayout(dims, ("A", "B"))
+
+    @pytest.mark.parametrize("labels", [(None, "B"), (1, "1"), (b"A", "B")])
+    def test_non_string_labels_refused(self, labels):
+        with pytest.raises(UnknownLabel, match="strings"):
+            SubsystemLayout((2, 2), labels)
+
+    def test_numpy_integers_and_strings_accepted(self):
+        lay = SubsystemLayout(np.array([2, 3]), np.array(["A", "B"]))
+        assert lay == SubsystemLayout((2, 3), ("A", "B"))
+        assert all(type(d) is int for d in lay.dims)
+        assert all(type(lab) is str for lab in lay.labels)
 
 
 class TestHermitianOperator:
@@ -240,6 +257,26 @@ class TestPartialTrace:
     def test_unknown_label(self):
         with pytest.raises(UnknownLabel):
             partial_trace(random_hermitian(QUBIT3), {"Z"})
+
+    def test_bare_string_keep_refused(self):
+        # "AB" would be read as the labels A and B, not as the factor "AB"
+        x = random_hermitian(SubsystemLayout((3, 2, 2), ("AB", "A", "B")))
+        for keep in ("AB", "A"):
+            with pytest.raises(UnknownLabel):
+                partial_trace(x, keep)
+        assert partial_trace(x, ["AB"]).layout.labels == ("AB",)
+
+    def test_one_qubit_of_eight_builds_one_small_block(self):
+        # one block of 2 x 2 entries, each a run of 128: 512 int32 entries,
+        # not the 1,613,824 of every proper subset
+        layout = SubsystemLayout((2,) * 8, tuple("ABCDEFGH"))
+        proj = random_pure_state(layout, np.random.default_rng(8)).projector()
+        _marginal_map.cache_clear()
+        partial_trace(proj, {"D"})
+        assert _marginal_map.cache_info().currsize == 1
+        idx = _marginal_map(layout, (frozenset("D"),)).idx
+        assert idx.dtype == np.int32 and idx.size == 512
+        assert _marginal_map.cache_info().currsize == 1
 
 
 class TestPartialTranspose:

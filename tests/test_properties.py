@@ -3,9 +3,11 @@
 The Kronecker and embedding kernels are compared bit for bit with the
 np.kron formulas they stand in for, on layouts with local dimensions 1-4 and
 labels in no particular order. The marginal map and the partial trace read
-from it are compared with the summation oracle, the map's adjoint is checked
-against the trace pairing, and the cut witnesses against their entry-by-entry
-oracle. The operations that build their results without re-validation are
+from it are compared with the summation oracle, and on layouts of up to
+eight factors the one block `partial_trace` and `embed` build is checked for
+size and against the summation and embedding oracles. The map's adjoint is
+checked against the trace pairing on any requested sets, and the cut
+witnesses against their entry-by-entry oracle. The operations that build their results without re-validation are
 checked to return exactly conjugate-symmetric matrices, the invariant that
 makes skipping the checks exact, while the public constructors still refuse
 malformed input. The eigenvectors a spectrum computes on first read
@@ -40,6 +42,7 @@ from qinflate.linalg import (
     HermitianOperator,
     SubsystemLayout,
     _marginal_map,
+    _proper_subsets,
     embed,
     hermitian_eig,
     kron,
@@ -63,7 +66,7 @@ from qinflate.witness import (
     verdict,
 )
 
-from oracles import cut_witness_oracle, partial_trace_oracle
+from oracles import cut_witness_oracle, embed_oracle, partial_trace_oracle
 
 SETTINGS = settings(max_examples=60, deadline=None)
 LETTERS = "ABCDE"
@@ -142,9 +145,9 @@ small_layouts = layouts(max_factors=5).filter(lambda layout: layout.total_dim <=
 @given(small_layouts, seeds)
 def test_marginal_map_blocks_match_oracle(layout, seed):
     m = _random_hermitian(layout, seed).entries
-    plan = _marginal_map(layout)
-    assert len(plan.subsets) == 2**layout.n_subsystems - 2
-    for sub, sub_layout, block in zip(plan.subsets, plan.layouts,
+    plan = _marginal_map(layout, _proper_subsets(layout.labels))
+    assert len(plan.sets) == 2**layout.n_subsystems - 2
+    for sub, sub_layout, block in zip(plan.sets, plan.layouts,
                                       plan.blocks(plan.marginals(m))):
         keep = tuple(k for k, lab in enumerate(layout.labels) if lab in sub)
         assert sub_layout == layout.restrict(sub)
@@ -167,12 +170,42 @@ def test_partial_trace_matches_oracle(data, layout, seed):
         partial_trace(x, [])
 
 
+@st.composite
+def wide_layouts(draw) -> SubsystemLayout:
+    """Layouts of 1-8 factors, local dimensions 1-4, total dimension at most 256."""
+    dims: list[int] = []
+    for _ in range(draw(st.integers(1, 8))):
+        dims.append(draw(st.integers(1, min(4, 256 // math.prod(dims)))))
+    labels = draw(st.permutations("ABCDEFGH"))[: len(dims)]
+    return SubsystemLayout(tuple(dims), tuple(labels))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), wide_layouts(), seeds)
+def test_one_set_map_traces_and_embeds_like_the_oracles(data, layout, seed):
+    # partial_trace and embed build only the block they touch: d d_S entries
+    x = _random_hermitian(layout, seed)
+    keep = data.draw(st.lists(st.sampled_from(layout.labels), min_size=1, unique=True))
+    got = partial_trace(x, keep)
+    idx = _marginal_map(layout, (frozenset(keep),)).idx
+    assert idx.dtype == np.int32 and idx.size == layout.total_dim * got.side
+    axes = tuple(k for k, lab in enumerate(layout.labels) if lab in keep)
+    assert np.max(np.abs(got.entries - partial_trace_oracle(x.entries, layout.dims, axes))) < 1e-12
+    y = permute_subsystems(got, data.draw(st.permutations(got.layout.labels)))
+    want = embed_oracle(y.entries, y.layout.labels, layout.dims, layout.labels)
+    assert np.array_equal(embed(y, layout).entries, want)
+
+
 @SETTINGS
-@given(small_layouts, seeds)
-def test_marginal_map_adjoint_identity(layout, seed):
-    # sum_S w_S Tr[Y_S rho_S] = Tr[(adjoint(Y, w) - 1) rho]
+@given(st.data(), small_layouts, seeds)
+def test_marginal_map_adjoint_identity(data, layout, seed):
+    # sum_S w_S Tr[Y_S rho_S] = Tr[(adjoint(Y, w) - 1) rho], on any requested
+    # sets in any order, the full set included
+    sets = data.draw(st.lists(st.frozensets(st.sampled_from(layout.labels), min_size=1),
+                              min_size=1, unique=True))
     rng = np.random.default_rng(seed)
-    plan = _marginal_map(layout)
+    plan = _marginal_map(layout, tuple(sets))
+    assert plan.sets == tuple(sets)
     rho = random_density_matrix(layout, rng).entries
     ys = [_random_hermitian(sub, seed + i).entries / sub.total_dim
           for i, sub in enumerate(plan.layouts)]

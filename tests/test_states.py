@@ -112,6 +112,16 @@ class TestNonFiniteInput:
         with pytest.raises(DimensionError, match=">= 1"):
             Distribution(dims, probs)
 
+    @pytest.mark.parametrize("dims", [(2.5, 2), (True, 4), (2, 2.0)])
+    def test_distribution_non_integer_dimension(self, dims):
+        # int() would read 2.5 as 2 and True as 1
+        with pytest.raises(DimensionError, match="integers"):
+            Distribution(dims, [0.25] * 4)
+
+    def test_distribution_numpy_integer_dimensions(self):
+        p = Distribution(np.array([2, 2]), [0.25] * 4)
+        assert p.outcome_dims == (2, 2) and all(type(d) is int for d in p.outcome_dims)
+
 
 class TestTriBell:
     def test_boundary_is_permuted_w(self):

@@ -22,6 +22,7 @@ from qinflate.linalg import (
     HermitianOperator,
     SubsystemLayout,
     _marginal_map,
+    _proper_subsets,
     kron,
     partial_trace,
     permute_subsystems,
@@ -164,17 +165,24 @@ class TestHallDelta:
         assert np.array_equal(trusted.entries, checked.entries)
 
     def test_one_int32_marginal_map_per_layout(self):
-        # The three cut witnesses and Delta of one state share one marginal
-        # map, that of the alphabetically sorted layout, with an int32 index.
+        # The three cut witnesses and Delta of one state share one all-subsets
+        # marginal map, that of the alphabetically sorted layout, with an
+        # int32 index. Every other map is one block, of a partial_trace or an
+        # embed: the six sets of one or two factors.
         rho = random_density_matrix(SubsystemLayout((2, 3, 2), ("C", "A", "B")),
                                     np.random.default_rng(19))
+        full = rho.layout.sorted()
         _marginal_map.cache_clear()
         for cut in CUTS:
             cut_witness_quantum(rho, cut)
         hall_delta(marginals_of(rho))
-        assert _marginal_map.cache_info().currsize == 1
-        assert _marginal_map(rho.layout.sorted()).idx.dtype == np.int32
-        assert _marginal_map.cache_info().currsize == 1
+        assert _marginal_map.cache_info().currsize == 7
+        shared = _marginal_map(full, _proper_subsets(full.labels))
+        assert shared.idx.dtype == np.int32 and len(shared.sets) == 6
+        for sub in shared.sets:
+            one = _marginal_map(full, (sub,))
+            assert one.idx.dtype == np.int32 and one.idx.size == 12 * one.layouts[0].total_dim
+        assert _marginal_map.cache_info().currsize == 7
 
     def test_marginals_of_is_read_only(self):
         margs = marginals_of(ghz_state().to_density())
@@ -333,6 +341,12 @@ class TestVerdict:
         assert v.witnessed
         assert v.evidence.outcome is not None
         assert t[v.evidence.outcome] == pytest.approx(v.evidence.min_value)
+
+    def test_complex_tensor_refused(self):
+        # a cast to float would drop -1j and call this inconclusive
+        for t in (np.array([-1j, 2]), [0.5 + 0j, 1.0]):
+            with pytest.raises(InvalidParameter, match="complex"):
+                verdict(t)
 
     def test_threshold_respected(self):
         t = np.array([[-1e-9, 0.1], [0.2, 0.3]])
@@ -577,6 +591,20 @@ class TestSuppKerTest:
         eigvalsh, eigh = _count_eigensolves(monkeypatch)
         assert supp_ker_test(ghz_state().to_density(), CUTS) == [True] * 3
         assert (eigvalsh[0], eigh[0]) == (0, len(CUTS) + 1)
+
+    def test_unsorted_state_builds_maps_of_the_sorted_layout_only(self):
+        # the nu split traces the sorted operator, so it shares the witnesses'
+        # layout: every cached map is among the seven of the sorted layout
+        rho = random_pure_state(SubsystemLayout((2, 2, 2), ("C", "A", "B")),
+                                np.random.default_rng(4)).to_density()
+        full = rho.layout.sorted()
+        _marginal_map.cache_clear()
+        assert supp_ker_test(rho, CUTS) == supp_ker_oracle(rho.entries, (2, 2, 2),
+                                                           ("C", "A", "B"), CUTS)
+        sets = _proper_subsets(full.labels)
+        for request in [sets, *((sub,) for sub in sets)]:
+            _marginal_map(full, request)
+        assert _marginal_map.cache_info().currsize == 7
 
     def test_rejects_a_single_cut_passed_as_the_list(self):
         # one cut where a list of cuts belongs is refused before any work
