@@ -8,13 +8,14 @@ Validation happens once, at the boundary. The public constructors of
 :class:`SubsystemLayout`, :class:`HermitianOperator` and
 :class:`DensityMatrix` check every input (integer dimensions, distinct str
 labels, shape, finiteness, Hermiticity, trace and positivity) and symmetrise
-the matrix. The operations on validated operators -- `partial_trace`,
-`partial_transpose`, `permute_subsystems`, `embed`, `kron`, `+`, `-` and
-real `*` -- build their results through the private `_trusted`
-constructors, unchecked. That is exact, not an approximation: sums, real
-scalings, index permutations and Kronecker products of conjugate pairs
-(operands kept in the same order) are conjugate-symmetric bit for bit in
-IEEE arithmetic, so the skipped symmetrisation would return the same array.
+the matrix. Numeric constructors, here and in `states`, read their numbers
+through `_checked_array`, which refuses non-numbers and non-finite entries.
+Operations on validated operators -- `partial_trace`, `partial_transpose`,
+`permute_subsystems`, `embed`, `kron` and `-` -- build their results through
+the private `_trusted` constructors, unchecked. That is exact: differences,
+index permutations and Kronecker products of conjugate pairs (operands kept
+in the same order) are conjugate-symmetric bit for bit in IEEE arithmetic,
+so the skipped symmetrisation would return the same array.
 Arrays that are Hermitian only up to rounding -- outer products v v+ under
 fused multiply-add, eigen-reconstructions -- still go through the public
 constructors.
@@ -87,6 +88,33 @@ def _checked_dims(dims: Iterable, what: str) -> tuple[int, ...]:
     return dims
 
 
+def _checked_array(values, dtype, what: str) -> np.ndarray:
+    """`values` as a fresh array of `dtype`, never aliasing the caller's input.
+    Refused: ragged nesting, a dtype kind other than int, uint, float (and
+    complex for a complex `dtype`) -- so str, bytes, bool and object arrays,
+    Python ints too large for 64 bits among them -- and non-finite entries."""
+    try:
+        a = np.asarray(values)
+    except ValueError:
+        raise InvalidParameter(f"{what} is not a rectangular array") from None
+    kind = "complex" if np.dtype(dtype).kind == "c" else "real"
+    if a.dtype.kind not in ("iufc" if kind == "complex" else "iuf"):
+        raise InvalidParameter(f"{what} must be {kind} numbers, got dtype {a.dtype}")
+    out = np.array(a, dtype=dtype)
+    if not np.isfinite(out).all():
+        raise InvalidParameter(f"{what} has non-finite entries")
+    return out
+
+
+def _checked_real(value, what: str) -> float:
+    """`value` as a float: one number of a kind `_checked_array` takes as real.
+    NaN and inf pass, for the caller's range check to refuse."""
+    a = np.asarray(value)
+    if a.shape or a.dtype.kind not in "iuf":
+        raise InvalidParameter(f"{what} must be one real number, got {value!r}")
+    return float(a)
+
+
 @dataclass(frozen=True)
 class SubsystemLayout:
     """Ordered local dimensions with distinct labels, e.g. (2,2,2) / (A,B,C)."""
@@ -128,9 +156,6 @@ class SubsystemLayout:
         except ValueError:
             raise UnknownLabel(f"label {label!r} not in layout {self.labels}") from None
 
-    def dim_of(self, label: str) -> int:
-        return self.dims[self.axis(label)]
-
     def restrict(self, keep: Iterable[str]) -> "SubsystemLayout":
         """Sub-layout of `keep`, preserving this layout's order."""
         keep = set(keep)
@@ -156,18 +181,16 @@ class HermitianOperator:
 
     def __post_init__(self) -> None:
         side = self.layout.total_dim
-        m = np.asarray(self.entries, dtype=complex)
+        m = _checked_array(self.entries, complex, "operator")
         if m.shape != (side, side):
             raise DimensionError(f"expected a {side}x{side} matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise InvalidParameter("operator has non-finite entries")
         h = m.conj().T
         dev = np.abs(m - h).max()
         if dev > HERMITICITY_TOL:
             raise NotHermitian(f"max deviation from conjugate transpose is {dev:.3e}")
-        # a fresh array, so the caller's input is never frozen or aliased;
-        # halving first keeps finite entries near the float maximum finite
-        m = m / 2 + h / 2
+        # m / 2 + h / 2 in place: halving first keeps entries near the float maximum finite
+        m /= 2
+        m += h / 2
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -192,27 +215,10 @@ class HermitianOperator:
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
 
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        self._check_same_layout(other)
-        return HermitianOperator._trusted(self.layout, self.entries + other.entries)
-
     def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
-        self._check_same_layout(other)
-        return HermitianOperator._trusted(self.layout, self.entries - other.entries)
-
-    def __mul__(self, scalar: float) -> "HermitianOperator":
-        scalar = float(scalar)
-        if not math.isfinite(scalar):
-            raise InvalidParameter(f"scalar {scalar!r} is not finite")
-        return HermitianOperator._trusted(self.layout, self.entries * scalar)
-
-    __rmul__ = __mul__
-
-    def _check_same_layout(self, other: "HermitianOperator") -> None:
         if self.layout != other.layout:
-            raise DimensionError(
-                f"layout mismatch: {self.layout.labels} vs {other.layout.labels}"
-            )
+            raise DimensionError(f"layout mismatch: {self.layout.labels} vs {other.layout.labels}")
+        return HermitianOperator._trusted(self.layout, self.entries - other.entries)
 
 
 @dataclass(frozen=True)
@@ -304,10 +310,6 @@ class Spectrum:
         spec = cls(vals, entries)
         object.__setattr__(spec, "eigenvectors", vecs)
         return spec
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
 
 
 def kron(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:

@@ -259,12 +259,11 @@ def sweep_tri_bell(
     grid of tri-Bell amplitudes in [1/sqrt(3), 1)."""
     rows = []
     for a in grid:
-        a = float(a)
-        w = _tri_bell_witness(a)
+        w = _tri_bell_witness(a)  # refuses an a that is not a real number
         sdp = ppt_min(w)
         prod = product_min(w, restarts, rng)
         rows.append(
-            SweepRow(a, w.min_eigenvalue(), sdp.value, prod.value, sdp.converged)
+            SweepRow(float(a), w.min_eigenvalue(), sdp.value, prod.value, sdp.converged)
         )
     return rows
 

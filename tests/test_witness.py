@@ -203,15 +203,13 @@ class TestHallDelta:
                 rx = partial_trace(rho.op, {x})
                 ry = partial_trace(rho.op, {y})
                 rxy = partial_trace(rho.op, {x, y})
-                diff = kron(rx, ry) + (-1.0) * permute_subsystems(
-                    rxy, tuple(sorted((x, y)))
-                )
+                diff = kron(rx, ry) - permute_subsystems(rxy, tuple(sorted((x, y))))
                 (z,) = [lab for lab in "ABC" if lab not in (x, y)]
                 rz_id = HermitianOperator(SubsystemLayout((2,), (z,)), np.eye(2))
                 full = QUBIT3
                 from qinflate.linalg import embed
 
-                term = embed(kron(diff, rz_id * 1.0), full)
+                term = embed(kron(diff, rz_id), full)
                 lhs = w.entries
                 rhs = delta.entries + term.entries
                 assert np.max(np.abs(lhs - rhs)) < 1e-10
