@@ -464,12 +464,14 @@ def tri_bell_eigs(t: float) -> np.ndarray:
 
 def werner_ghz_eigs(p: float) -> np.ndarray:
     """Closed-form ascending I_xy spectrum for GHZ mixed with white noise."""
+    p = _checked_real(p, "noise parameter p")
     vals = [0.25] * 4 + [(1 - 2 * p) / 4] * 2 + [(1 + 2 * p) / 4] * 2
     return np.sort(np.array(vals))
 
 
 def werner_w_eigs(p: float) -> np.ndarray:
     """Closed-form ascending I_xy spectrum for the W state mixed with white noise."""
+    p = _checked_real(p, "noise parameter p")
     s = np.sqrt(297 * p**2 + 6 * p**3 + p**4)
     vals = [
         (9 - p * p) / 36,

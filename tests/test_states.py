@@ -40,7 +40,13 @@ from qinflate.states import (
     white_noise_mixture,
     z3_twirl,
 )
-from qinflate.witness import toth_acin_eigs, tri_bell_cubic, verdict
+from qinflate.witness import (
+    toth_acin_eigs,
+    tri_bell_cubic,
+    verdict,
+    werner_ghz_eigs,
+    werner_w_eigs,
+)
 
 from oracles import partial_trace_oracle
 
@@ -143,6 +149,8 @@ NUMERIC_INPUTS = {
     "toth_acin_eigs": (toth_acin_eigs, 0.1),
     "white_noise_mixture": (lambda v: white_noise_mixture(ghz_state(), v), 0.5),
     "qutrit_pair": (lambda v: qutrit_pair(v, 0.25), 0.5),
+    "werner_ghz_eigs": (werner_ghz_eigs, 0.5),
+    "werner_w_eigs": (werner_w_eigs, 0.5),
     "verdict": (verdict, TENSOR),
     "verdict tol": (lambda v: verdict(TENSOR, tol=v), 1e-8),
 }
