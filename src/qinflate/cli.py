@@ -16,7 +16,8 @@ import numpy as np
 
 from .dag import build_triangle, injectable_sets, is_inflation, is_nonfanout, parse_dag
 from .errors import InvalidParameter, QInflateError
-from .linalg import VERDICT_TOL, DensityMatrix, HermitianOperator, SubsystemLayout
+from .linalg import (VERDICT_TOL, DensityMatrix, HermitianOperator, SubsystemLayout,
+                     _checked_array, _checked_dims)
 from .opt import sweep_tri_bell
 from .reproduce import CLAIMS, run_all, run_claim
 from .states import (
@@ -50,16 +51,9 @@ CUTS = {"AB": ("A", "B"), "AC": ("A", "C"), "BC": ("B", "C")}
 # State files
 
 
-def _complex_out(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _complex_in(pair: Any) -> complex:
-    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_finite_number, pair))):
-        raise QInflateError(
-            f"complex entry {pair!r} is not an [re, im] pair of numbers or is non-finite"
-        )
-    return complex(*pair)
+def _pairs_out(z: np.ndarray) -> list:
+    """A complex array as nested lists of [re, im] pairs."""
+    return np.stack([z.real, z.imag], axis=-1).tolist()
 
 
 FAMILIES = {
@@ -80,10 +74,6 @@ FAMILIES = {
 }
 
 
-def _is_finite_number(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -93,7 +83,8 @@ def _read_text(path: str) -> str:
 
 
 def load_state(path: str) -> Union[DensityMatrix, Distribution]:
-    """Parse a JSON state file into a density matrix or a distribution."""
+    """Parse a JSON state file into a density matrix or a distribution, checking
+    JSON structure only: the constructors' readers in `linalg` check the numbers."""
     try:
         obj = json.loads(_read_text(path))
     except RecursionError:
@@ -111,27 +102,20 @@ def load_state(path: str) -> Union[DensityMatrix, Distribution]:
         if not isinstance(name, str) or name not in FAMILIES:
             raise QInflateError(f"unknown family {name!r}; known: {sorted(FAMILIES)}")
         params = data.get("params", {})
-        if not isinstance(params, dict) or not all(
-            _is_finite_number(v)
-            or k == "alphas" and isinstance(v, list) and all(map(_is_finite_number, v))
-            for k, v in params.items()
-        ):
-            raise QInflateError(
-                "family 'params' must map each name to a finite number ('alphas' to a list of them)"
-            )
+        if not isinstance(params, dict):
+            raise QInflateError("family 'params' must be an object")
+        params = {k: _checked_array(v, float, f"family parameter {k!r}") for k, v in params.items()}
+        if any(a.ndim != (k == "alphas") for k, a in params.items()):
+            raise QInflateError("family 'params' must map each name to a number ('alphas' to a list)")
         try:
             return FAMILIES[name](params)
         except KeyError as exc:
             raise QInflateError(f"family {name!r} needs the parameter {exc.args[0]!r}") from None
-    if "layout" not in obj:
-        raise QInflateError("state file is missing the 'layout' field")
-    entries = obj["layout"]
-    if not isinstance(entries, list) or not all(
-        isinstance(e, dict) and "label" in e and type(e.get("dim")) is int for e in entries
-    ):
-        raise QInflateError("each 'layout' entry needs a 'label' and an integer 'dim'")
-    dims = tuple(e["dim"] for e in entries)
-    layout = SubsystemLayout(dims, tuple(e["label"] for e in entries))
+    entries = obj.get("layout")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise QInflateError("a state file's 'layout' must be a list of {'label', 'dim'} objects")
+    dims = _checked_dims((e.get("dim") for e in entries), "layout 'dim' values")
+    layout = SubsystemLayout(dims, tuple(e.get("label") for e in entries))
     if kind == "distribution":
         # Cuts address a distribution's variables by axis as A, B, C, ... (the
         # labels save_state writes), so other labels are refused, not misread.
@@ -140,20 +124,20 @@ def load_state(path: str) -> Union[DensityMatrix, Distribution]:
             raise QInflateError(
                 f"distribution layout labels {layout.labels} must be {labels} in axis order"
             )
-        if not isinstance(data, list) or not all(map(_is_finite_number, data)):
-            raise QInflateError("distribution 'data' must be a flat list of finite numbers")
-        return Distribution(dims, np.array(data, dtype=float))
-    if kind == "pure":
-        if not isinstance(data, list):
-            raise QInflateError("pure 'data' must be a list of [re, im] pairs")
-        return PureState(layout, np.array([_complex_in(p) for p in data])).to_density()
-    if kind == "mixed":
-        if not isinstance(data, list) or any(
-            not isinstance(row, list) or len(row) != len(data) for row in data
-        ):
-            raise QInflateError("mixed 'data' must be a square matrix of [re, im] pairs")
-        rows = [[_complex_in(p) for p in row] for row in data]
-        return DensityMatrix(HermitianOperator(layout, np.array(rows)))
+        probs = _checked_array(data, float, "distribution 'data'")
+        if probs.ndim != 1:
+            raise QInflateError("distribution 'data' must be a flat list of numbers")
+        return Distribution(dims, probs)
+    if kind in ("pure", "mixed"):
+        what = f"{kind} 'data' of [re, im] pairs"
+        pairs = _checked_array(data, float, what)
+        if pairs.shape[-1:] != (2,) or pairs.ndim != (2 if kind == "pure" else 3):
+            shape = "a list" if kind == "pure" else "a matrix"
+            raise QInflateError(f"{kind} 'data' must be {shape} of [re, im] pairs")
+        z = pairs.view(complex).reshape(pairs.shape[:-1])
+        if kind == "pure":
+            return PureState(layout, z).to_density()
+        return DensityMatrix(HermitianOperator(layout, z))
     raise QInflateError(f"unknown kind {kind!r}; expected pure/mixed/distribution/family")
 
 
@@ -162,13 +146,13 @@ def save_state(obj: Union[DensityMatrix, Distribution, PureState], path: str) ->
     if isinstance(obj, Distribution):
         dims = obj.outcome_dims
         labels = axis_labels(len(dims))
-        kind, data = "distribution", [float(p) for p in obj.probs]
+        kind, data = "distribution", obj.probs.tolist()
     else:
         dims, labels = obj.layout.dims, obj.layout.labels
         if isinstance(obj, PureState):
-            kind, data = "pure", [_complex_out(a) for a in obj.amplitudes]
+            kind, data = "pure", _pairs_out(obj.amplitudes)
         else:
-            kind, data = "mixed", [[_complex_out(z) for z in row] for row in obj.entries]
+            kind, data = "mixed", _pairs_out(obj.entries)
     doc = {
         "layout": [{"label": s, "dim": d} for s, d in zip(labels, dims)],
         "kind": kind,
@@ -266,7 +250,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
             entry["outcome"] = list(v.evidence.outcome)
         if v.evidence is not None and v.evidence.vector is not None:
             # the evidence eigenvector, on the alphabetically sorted labels
-            entry["vector"] = [[float(a.real), float(a.imag)] for a in v.evidence.vector]
+            entry["vector"] = _pairs_out(v.evidence.vector)
         results.append(entry)
     if args.format == "json":
         print(json.dumps({"state": args.state, "results": results}, indent=2))

@@ -8,8 +8,10 @@ Validation happens once, at the boundary. The public constructors of
 :class:`SubsystemLayout`, :class:`HermitianOperator` and
 :class:`DensityMatrix` check every input (integer dimensions, distinct str
 labels, shape, finiteness, Hermiticity, trace and positivity) and symmetrise
-the matrix. Numeric constructors, here and in `states`, read their numbers
-through `_checked_array`, which refuses non-numbers and non-finite entries.
+the matrix. The numeric constructors, here and in `states`, and the state-file
+loader `cli.load_state` read numbers by one rule, `_checked_array`'s: a string,
+a boolean (one among numbers too), an integer past 64 bits and a non-finite
+value are refused.
 Operations on validated operators -- `partial_trace`, `partial_transpose`,
 `permute_subsystems`, `embed`, `kron` and `-` -- build their results through
 the private `_trusted` constructors, unchecked. That is exact: differences,
@@ -76,11 +78,16 @@ VERDICT_TOL = 1e-8
 _MAP_CACHE_SIZE = 512
 
 
+def _is_int(n) -> bool:
+    """Whether `n` is an integer: a Python or numpy int, not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _checked_dims(dims: Iterable, what: str) -> tuple[int, ...]:
     """`dims` as plain ints >= 1; numpy integers pass, bools and floats do not."""
     dims = tuple(dims)
     for d in dims:
-        if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+        if not _is_int(d):
             raise DimensionError(f"{what} must be integers, got {d!r}")
     dims = tuple(map(int, dims))
     if any(d < 1 for d in dims):
@@ -92,7 +99,9 @@ def _checked_array(values, dtype, what: str) -> np.ndarray:
     """`values` as a fresh array of `dtype`, never aliasing the caller's input.
     Refused: ragged nesting, a dtype kind other than int, uint, float (and
     complex for a complex `dtype`) -- so str, bytes, bool and object arrays,
-    Python ints too large for 64 bits among them -- and non-finite entries."""
+    Python ints too large for 64 bits among them -- a bool among numbers in
+    input that is not an ndarray (numpy reads it as 0 or 1), and non-finite
+    entries."""
     try:
         a = np.asarray(values)
     except ValueError:
@@ -100,6 +109,9 @@ def _checked_array(values, dtype, what: str) -> np.ndarray:
     kind = "complex" if np.dtype(dtype).kind == "c" else "real"
     if a.dtype.kind not in ("iufc" if kind == "complex" else "iuf"):
         raise InvalidParameter(f"{what} must be {kind} numbers, got dtype {a.dtype}")
+    if not isinstance(values, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat):
+        raise InvalidParameter(f"{what} must be {kind} numbers, got a bool among them")
     out = np.array(a, dtype=dtype)
     if not np.isfinite(out).all():
         raise InvalidParameter(f"{what} has non-finite entries")

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .linalg import DensityMatrix, HermitianOperator, _partial_transpose, min_eigenvalue
+from .linalg import DensityMatrix, HermitianOperator, _is_int, _partial_transpose, min_eigenvalue
 from .states import LocalBasis, tri_bell, tri_bell_t_from_amplitude
 from .witness import WitnessOperator, _bisect_crossing, cut_witness_quantum
 
@@ -206,8 +206,8 @@ def product_min(w: WitnessOperator, restarts: int,
     layout = w.layout
     if layout.n_subsystems != 3:
         raise DomainError("product search covers three subsystems")
-    if restarts < 1:
-        raise DomainError(f"product search needs restarts >= 1, got {restarts}")
+    if not _is_int(restarts) or restarts < 1:
+        raise DomainError(f"product search needs an integer restarts >= 1, got {restarts!r}")
     dims = layout.dims
     ends = np.cumsum([2 * (d - 1) for d in dims]).tolist()
     spans = list(zip([0] + ends[:-1], ends, dims))
@@ -270,8 +270,8 @@ def sweep_tri_bell(
 
 def iota_tilde_crossing(lo: float = 0.70, hi: float = 0.95, iters: int = 12) -> float:
     """Bisect the sign change of the relaxation value over the amplitude axis."""
-    if iters < 1:
-        raise DomainError(f"the crossing needs iters >= 1, got {iters}")
+    if not _is_int(iters) or iters < 1:
+        raise DomainError(f"the crossing needs an integer iters >= 1, got {iters!r}")
     f_lo = ppt_min(_tri_bell_witness(lo)).value
     f_hi = ppt_min(_tri_bell_witness(hi)).value
     if not (f_lo < 0 < f_hi):

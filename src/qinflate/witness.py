@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import (
     DimensionError,
+    DomainError,
     InconsistentMarginals,
     InvalidParameter,
     MissingMarginal,
@@ -79,6 +80,14 @@ DEFAULT_RANK_TOL = 1e-8
 DEFAULT_ANGLE_TOL = 1e-6
 
 
+def _checked_tol(tol: float, what: str) -> float:
+    """`tol` as a float: one finite real number >= 0."""
+    tol = _checked_real(tol, what)
+    if not 0.0 <= tol < np.inf:  # False for NaN too
+        raise InvalidParameter(f"{what} must be finite and >= 0, got {tol!r}")
+    return tol
+
+
 @dataclass(frozen=True)
 class WitnessOperator:
     """Hermitian witness whose spectrum is computed on first read.
@@ -114,6 +123,7 @@ class WitnessOperator:
 
     def eigenvalue_clusters(self, tol: float = CLUSTER_TOL) -> list[tuple[float, int]]:
         """Ascending (value, multiplicity) pairs, grouping eigenvalues within tol."""
+        tol = _checked_tol(tol, "cluster tolerance")
         clusters: list[list[float]] = []
         for lam in self.spectrum.eigenvalues:
             if clusters and lam - clusters[-1][-1] <= tol:
@@ -321,9 +331,7 @@ def verdict(
     empty, non-finite or (for a tensor) non-real witness, or a tolerance that
     is not one finite real number >= 0, raises.
     """
-    tol = _checked_real(tol, "verdict tolerance")
-    if not 0.0 <= tol < np.inf:  # False for NaN too
-        raise InvalidParameter(f"verdict tolerance must be finite and >= 0, got {tol!r}")
+    tol = _checked_tol(tol, "verdict tolerance")
     is_op = isinstance(w, WitnessOperator)
     t = w.entries if is_op else _checked_array(w, float, "classical witness")
     if not t.size:
@@ -411,13 +419,9 @@ def fidelity_witness(rho: DensityMatrix) -> tuple[float, float, bool]:
     """GHZ and W fidelities plus the flag of the fidelity-based sufficient test."""
     if rho.layout.dims != (2, 2, 2):
         raise DimensionError("fidelity witness is defined for three qubits")
-    m = permute_subsystems(rho.op, ("A", "B", "C")) if rho.layout.labels != (
-        "A",
-        "B",
-        "C",
-    ) else rho.op
-    f_ghz = float(np.real(ghz_state().amplitudes.conj() @ m.entries @ ghz_state().amplitudes))
-    f_w = float(np.real(w_state().amplitudes.conj() @ m.entries @ w_state().amplitudes))
+    m = permute_subsystems(rho.op, ("A", "B", "C")).entries
+    f_ghz, f_w = (float(np.real(v.conj() @ m @ v))
+                  for v in (ghz_state().amplitudes, w_state().amplitudes))
     flagged = f_ghz >= GHZ_FIDELITY_THRESHOLD or f_w >= W_FIDELITY_THRESHOLD
     return f_ghz, f_w, flagged
 
@@ -428,8 +432,6 @@ def tri_bell_cubic(t: float) -> tuple[tuple[float, float, float], np.ndarray, fl
     Returns (coefficients (b, c, d) of x^3 + b x^2 + c x + d, real roots
     ascending, product of roots by Vieta).
     """
-    from .errors import DomainError
-
     t = _checked_real(t, "tri-Bell parameter t")
     if t <= 2:
         raise DomainError(f"parameter t={t} must exceed 2")

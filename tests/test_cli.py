@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qinflate.cli import CUTS, load_state, main, save_state
+from qinflate.errors import InvalidParameter
 from qinflate.linalg import DensityMatrix, permute_subsystems
 from qinflate.states import Distribution, ghz_distn, ghz_state, w_state, tri_bell
 from qinflate.witness import cut_witness_quantum
@@ -165,6 +166,35 @@ class TestMalformedStateFiles:
     )
     def test_wrong_json_shape(self, tmp_path, capsys, doc):
         _run_bad_file(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ({"layout": QUBIT_LAYOUT, "kind": "pure", "data": [[True, 0]] + [[0, 0]] * 7}, "bool"),
+            ({"layout": QUBIT_LAYOUT, "kind": "mixed",
+              "data": [[[float(i == j) / 8, 0] for j in range(7)] + [[0, False]] for i in range(8)]},
+             "bool"),
+            ({"layout": QUBIT_LAYOUT, "kind": "distribution", "data": [0.5, False] + [0] * 5 + [0.5]},
+             "bool"),
+            ({"kind": "family", "data": {"family_name": "schmidt224",
+                                         "params": {"alphas": [True] + [0] * 7}}}, "bool"),
+            ({"kind": "family", "data": {"family_name": "werner_ghz", "params": {"p": True}}},
+             "real numbers"),
+            ({"kind": "family", "data": {"family_name": "tri_bell", "params": {"t": 10**20}}},
+             "real numbers"),
+            ({"layout": QUBIT_LAYOUT, "kind": "pure", "data": [[10**20, 0]] + [[0, 0]] * 7},
+             "real numbers"),
+        ],
+        ids=["pure", "mixed", "distribution", "family-alphas", "family-param", "param-past-64-bits",
+             "amplitude-past-64-bits"],
+    )
+    def test_numbers_read_as_the_constructors_read_them(self, tmp_path, doc, match):
+        # a boolean among numbers is not read as 0 or 1, and an integer past
+        # 64 bits is refused by the reader, before any constructor runs
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidParameter, match=match):
+            load_state(str(path))
 
 
 class TestWitnessCommand:

@@ -230,7 +230,7 @@ class TestProductMin:
         for m in res.bases.matrices:
             assert np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) < 1e-8
 
-    @pytest.mark.parametrize("restarts", [0, -1])
+    @pytest.mark.parametrize("restarts", [0, -1, 2.5, True])
     def test_no_restarts_rejected(self, restarts):
         w = cut_witness_quantum(ghz_state().to_density(), ("A", "B"))
         with pytest.raises(DomainError, match="restarts"):
@@ -314,7 +314,7 @@ class TestCrossing:
         with pytest.raises(DomainError):
             iota_tilde_crossing(lo=0.9, hi=0.95)
 
-    @pytest.mark.parametrize("iters", [0, -3])
+    @pytest.mark.parametrize("iters", [0, -3, 2.5, True])
     def test_no_iterations_rejected(self, monkeypatch, iters):
         # refused before any relaxation is solved, not answered with the
         # bracket's midpoint

@@ -161,15 +161,17 @@ def _bad_inputs():
     """The valid value of each input as a string, a boolean, an object array
     holding an int too large for a float, a complex number where only real
     ones are accepted, and (arrays only: a scalar's NaN is left to its range
-    check) with a NaN entry."""
+    check) with a NaN entry, and as nested lists with a boolean among the
+    numbers, which numpy alone would read as 0 or 1."""
     for name, (_, valid) in NUMERIC_INPUTS.items():
         if np.ndim(valid) == 0:
             bad = {"str": str(valid), "bool": True, "object": 10**400}
         else:
             v = np.asarray(valid)
-            big, nan = v.astype(object), v.astype(float)
-            big.flat[0], nan.flat[0] = 10**400, np.nan
-            bad = {"str": v.astype(str), "bool": v.astype(bool), "object": big, "nan": nan}
+            big, nan, among = v.astype(object), v.astype(float), v.astype(object)
+            big.flat[0], nan.flat[0], among.flat[0] = 10**400, np.nan, True
+            bad = {"str": v.astype(str), "bool": v.astype(bool), "object": big, "nan": nan,
+                   "bool-among-numbers": among.tolist()}
         if name not in COMPLEX_ACCEPTED:
             bad["complex"] = np.asarray(valid, dtype=complex)
         for kind, value in bad.items():

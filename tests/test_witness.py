@@ -313,6 +313,14 @@ class TestCutWitness:
         assert all(mult == 2 for _, mult in clusters)
         assert sum(mult for _, mult in clusters) == 8
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, "x", True])
+    def test_eigenvalue_clusters_bad_tolerance(self, tol):
+        # NaN or -1 would split GHZ's double eigenvalue -0.25 into two clusters
+        w = cut_witness_quantum(ghz_state().to_density(), ("A", "B"))
+        assert w.eigenvalue_clusters()[0] == (pytest.approx(-0.25), 2)
+        with pytest.raises(InvalidParameter, match="tolerance"):
+            w.eigenvalue_clusters(tol)
+
 
 class TestVerdict:
     def test_witnessed_on_ghz(self):
