@@ -2,7 +2,7 @@
 claim reproduction.
 
 Exit codes: 0 = all verdicts inconclusive (or command succeeded), 2 = some
-witnessed incompatibility, 1 = error (with the violated invariant named).
+witnessed incompatibility, 1 = error (a malformed command line included).
 """
 
 from __future__ import annotations
@@ -354,8 +354,22 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # argparse exits 2, which here means witnessed: a usage error is 1
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    """A `--seed`: numpy's generators take integers >= 0 only."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qinflate",
         description="Triangle-network incompatibility witnesses and analyses.",
     )
@@ -374,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--grid", required=True, help="start:stop:count")
     ps.add_argument("--out", help="CSV output path (default: stdout)")
     ps.add_argument("--svg", help="optional SVG chart path")
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_seed, default=0)
     ps.add_argument("--restarts", type=int, default=16)
     ps.set_defaults(fn=cmd_sweep)
 
@@ -387,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("reproduce", help="recompute recorded numerical claims")
     pr.add_argument("claim", nargs="?", default="all", help="claim id (e.g. AC-3) or 'all'")
-    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--seed", type=_seed, default=0)
     pr.set_defaults(fn=cmd_reproduce)
     return parser
 

@@ -43,14 +43,6 @@ class OddCardinalityRequired(QInflateError):
     """The joint-marginal construction needs an odd number of subsystems."""
 
 
-class MissingMarginal(QInflateError):
-    """A required marginal context was not supplied."""
-
-
-class InconsistentMarginals(QInflateError):
-    """Supplied marginals fail the equimarginal consistency check."""
-
-
 class NotAnInflation(QInflateError):
     """Graph pair fails the ancestral-subgraph inflation condition."""
 

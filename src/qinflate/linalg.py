@@ -220,10 +220,6 @@ class HermitianOperator:
         object.__setattr__(obj, "entries", m)
         return obj
 
-    @property
-    def side(self) -> int:
-        return self.layout.total_dim
-
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
 

@@ -194,6 +194,13 @@ def _complete_basis(v: np.ndarray) -> np.ndarray:
     return np.column_stack([v, vecs[:, 1:]])
 
 
+def _checked_restarts(restarts: int) -> int:
+    """`restarts` as an int: the product search needs an integer >= 1."""
+    if not _is_int(restarts) or restarts < 1:
+        raise DomainError(f"product search needs an integer restarts >= 1, got {restarts!r}")
+    return int(restarts)
+
+
 def product_min(w: WitnessOperator, restarts: int,
                 rng: np.random.Generator) -> ProductSearchResult:
     """Multi-start minimization of the witness over product unit vectors.
@@ -206,8 +213,7 @@ def product_min(w: WitnessOperator, restarts: int,
     layout = w.layout
     if layout.n_subsystems != 3:
         raise DomainError("product search covers three subsystems")
-    if not _is_int(restarts) or restarts < 1:
-        raise DomainError(f"product search needs an integer restarts >= 1, got {restarts!r}")
+    restarts = _checked_restarts(restarts)
     dims = layout.dims
     ends = np.cumsum([2 * (d - 1) for d in dims]).tolist()
     spans = list(zip([0] + ends[:-1], ends, dims))
@@ -224,7 +230,7 @@ def product_min(w: WitnessOperator, restarts: int,
     search = globals().get("minimize") or _load_minimize()
     best_val = np.inf
     best_params = None
-    for _ in range(int(restarts)):
+    for _ in range(restarts):
         x0 = rng.uniform(0, np.pi, ends[-1])
         res = search(objective, x0, method="Nelder-Mead",
                      options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
@@ -234,7 +240,7 @@ def product_min(w: WitnessOperator, restarts: int,
     mats = tuple(
         _complete_basis(_unit_vector(best_params[lo:hi], d)) for lo, hi, d in spans
     )
-    return ProductSearchResult(best_val, LocalBasis(mats), int(restarts))
+    return ProductSearchResult(best_val, LocalBasis(mats), restarts)
 
 
 @dataclass(frozen=True)
@@ -257,9 +263,11 @@ def sweep_tri_bell(
 ) -> list[SweepRow]:
     """Evaluate min eigenvalue, relaxation value, and product upper bound on a
     grid of tri-Bell amplitudes in [1/sqrt(3), 1)."""
+    _checked_restarts(restarts)
+    # every witness first, so that a bad amplitude is refused before any solve
+    points = [(a, _tri_bell_witness(a)) for a in grid]
     rows = []
-    for a in grid:
-        w = _tri_bell_witness(a)  # refuses an a that is not a real number
+    for a, w in points:
         sdp = ppt_min(w)
         prod = product_min(w, restarts, rng)
         rows.append(

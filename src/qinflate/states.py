@@ -126,10 +126,6 @@ class LocalBasis:
         object.__setattr__(self, "matrices", tuple(mats))
 
     @classmethod
-    def computational(cls, layout: SubsystemLayout) -> "LocalBasis":
-        return cls(tuple(np.eye(d) for d in layout.dims))
-
-    @classmethod
     def pauli_x(cls, n: int = 3) -> "LocalBasis":
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         return cls((h,) * n)

@@ -14,20 +14,17 @@ The classical cut witness is the diagonal of I_xy on the encoded
 distribution, written out pointwise on the probability tensor.
 
 `marginals_of` returns the marginals of one joint state as a read-only
-mapping that keeps the map's flat vector, which `hall_delta` trusts to agree
-on overlaps and feeds straight to the adjoint. Any other mapping of marginals
-is checked (keys that name their marginal's labels, proper subsets only,
-matching dimensions, equal marginals on overlaps) and then concatenated in
-block order for the same adjoint. Also renders verdicts and implements the
-structural checks used throughout: support/kernel intersection, the
-antiunitary decomposition of Delta for pure three-qubit states, fidelity
-flags, and the closed-form spectra of the named state families.
+mapping that keeps the map's flat vector, and `hall_delta` takes only that
+mapping, feeding the vector straight to the adjoint. Also renders verdicts
+and implements the structural checks used throughout: support/kernel
+intersection, the antiunitary decomposition of Delta for pure three-qubit
+states, fidelity flags, and the closed-form spectra of the named state
+families.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
@@ -37,9 +34,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     DomainError,
-    InconsistentMarginals,
     InvalidParameter,
-    MissingMarginal,
     OddCardinalityRequired,
     UnknownLabel,
 )
@@ -72,7 +67,6 @@ from .states import (
     w_state,
 )
 
-EQUIMARGINAL_TOL = 1e-8
 CLUSTER_TOL = 1e-7
 #: Support/kernel criterion: an eigenvalue at most this in magnitude counts as 0.
 DEFAULT_RANK_TOL = 1e-8
@@ -155,68 +149,32 @@ class Verdict:
         return self.status == "witnessed_incompatible"
 
 
-def _checked_flat(
-    marginals: Mapping[frozenset, DensityMatrix], labels: list[str]
-) -> tuple[_MarginalMap, np.ndarray]:
-    """A mapping of marginals on the proper nonempty subsets of `labels`,
-    checked to agree on every overlap, as the marginal map of their joint
-    layout and its flat vector of blocks."""
-    blocks: dict[frozenset, HermitianOperator] = {}
-    for key, rho in marginals.items():
-        key = frozenset(key)
-        if not key:
-            continue
-        if set(rho.layout.labels) != key:
-            raise UnknownLabel(f"marginal keyed {sorted(key)} is on labels {rho.layout.labels}")
-        if len(key) == len(labels):
-            raise InvalidParameter(
-                f"a marginal on all of {labels}: Delta sums over proper subsets only"
-            )
-        blocks[key] = _sorted(rho.op)
-    for r in range(1, len(labels)):
-        for combo in itertools.combinations(labels, r):
-            if frozenset(combo) not in blocks:
-                raise MissingMarginal(f"missing marginal for {combo}")
-    full = SubsystemLayout(tuple(blocks[frozenset({lab})].side for lab in labels), labels)
-    for key, op in blocks.items():
-        if op.layout != full.restrict(key):
-            raise DimensionError(f"marginal on {sorted(key)} has dimensions {op.layout.dims}")
-        plan = _marginal_map(op.layout, _proper_subsets(op.layout.labels))
-        for sub, reduced in zip(plan.sets, plan.blocks(plan.marginals(op.entries))):
-            dev = np.max(np.abs(reduced - blocks[sub].entries))
-            if dev > EQUIMARGINAL_TOL:
-                raise InconsistentMarginals(
-                    f"marginal of {sorted(key)} on {sorted(sub)} deviates by {dev:.3e}"
-                )
-    plan = _marginal_map(full, _proper_subsets(full.labels))
-    return plan, np.concatenate([blocks[sub].entries.ravel() for sub in plan.sets])
-
-
 def hall_delta(marginals: Mapping[frozenset, DensityMatrix]) -> WitnessOperator:
     """Alternating-sign sum of subset marginals, tensored with identities.
 
     Delta = sum over proper subsets X of the node set of (-1)^|X| sigma_X (x) 1,
     the empty set contributing +1, on the nodes in alphabetical order.
-    Positive semidefinite whenever the marginals come from a single joint
-    state on an odd number of nodes. The read-only mapping `marginals_of`
-    returns is trusted to agree on overlaps; any other mapping is checked to
-    within EQUIMARGINAL_TOL, and a marginal on every node is refused.
+    Positive semidefinite on the marginals of a single joint state on an odd
+    number of nodes. Takes only the read-only mapping `marginals_of` returns,
+    whose marginals agree on overlaps by construction.
     """
-    labels = sorted(set().union(*marginals))
-    if len(labels) % 2 == 0:
-        raise OddCardinalityRequired(f"need an odd number of nodes, got {len(labels)}")
-    if type(marginals) is _JointMarginals:
-        plan, flat = marginals.plan, marginals.flat
-    else:
-        plan, flat = _checked_flat(marginals, labels)
+    if type(marginals) is not _JointMarginals:
+        raise InvalidParameter(
+            f"hall_delta takes the marginals_of(rho) of one joint state, "
+            f"got a {type(marginals).__name__}"
+        )
+    plan = marginals.plan
+    n = plan.layout.n_subsystems
+    if n % 2 == 0:
+        raise OddCardinalityRequired(f"need an odd number of nodes, got {n}")
     signs = [(-1.0) ** len(sub) for sub in plan.sets]
     return WitnessOperator(
-        HermitianOperator._trusted(plan.layout, plan.adjoint(flat, signs)), "hall_delta"
+        HermitianOperator._trusted(plan.layout, plan.adjoint(marginals.flat, signs)), "hall_delta"
     )
 
 
 class _JointMarginals(Mapping):
-    """`marginals_of`'s read-only result, the one type `hall_delta` trusts.
+    """`marginals_of`'s read-only result, the one type `hall_delta` takes.
 
     Keeps the marginal map and the flat vector of blocks the marginals view.
     """
@@ -248,9 +206,8 @@ def marginals_of(rho: DensityMatrix) -> Mapping[frozenset, DensityMatrix]:
     Each marginal's factors are in alphabetical label order. Each is a density
     matrix by construction and is not re-checked: the positivity tolerance of
     the joint state would otherwise be multiplied by the traced-out
-    dimension. They agree on overlaps by construction too, so `hall_delta`
-    trusts the returned mapping; a mutable copy (`dict(...)`) is checked like
-    any other input.
+    dimension. They agree on overlaps by construction too; `hall_delta`
+    takes this mapping and no other.
     """
     op = _sorted(rho.op)
     plan = _marginal_map(op.layout, _proper_subsets(op.layout.labels))

@@ -342,6 +342,34 @@ class TestSweepCommand:
         assert main(["sweep", "tri_bell", "--grid", "0.1:0.2:2", "--restarts", "1"]) == 1
 
 
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["witness", "state.json", "--cut", "XY"],
+        ["witness", "state.json", "--tol", "abc"],
+        ["sweep", "tri_bell", "--grid", "0.6:0.9:2", "--restarts", "x"],
+        ["sweep", "tri_bell"],
+        ["sweep", "tri_bell", "--grid", "0.6:0.9:2", "--seed", "-1"],
+        ["reproduce", "AC-1", "--seed", "-1"],
+        ["reproduce", "--seed", "1.5"],
+        ["frobnicate"],
+        [],
+    ])
+    def test_malformed_exits_1_not_2(self, capsys, argv):
+        # 2 means a witnessed incompatibility, so a usage error must not use it
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qinflate") and "error: " in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["witness", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qinflate")
+
+
 class TestDagCommand:
     def test_check_cut_inflation(self, tmp_path, capsys):
         from qinflate.dag import build_cut_inflation, format_dag

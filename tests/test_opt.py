@@ -298,6 +298,22 @@ class TestSweep:
         assert row.amplitude == a
         assert row.min_eig <= row.iota_tilde + 1e-6 <= row.iota_upper + 2e-6
 
+    @pytest.mark.parametrize("grid, restarts", [
+        ([0.8, 0.9], 0), ([0.8, 0.9], 2.5), ([0.8, 0.9, 1.0], 1), ([0.8, 0.5, 0.9], 1),
+    ])
+    def test_refused_before_any_solve(self, monkeypatch, grid, restarts):
+        real = opt.ppt_min
+        calls = []
+
+        def counting(w):
+            calls.append(1)
+            return real(w)
+
+        monkeypatch.setattr(opt, "ppt_min", counting)
+        with pytest.raises(DomainError):
+            sweep_tri_bell(grid, restarts=restarts, rng=np.random.default_rng(0))
+        assert calls == []
+
     def test_deterministic_given_seed(self):
         grid = [0.8]
         a = sweep_tri_bell(grid, restarts=4, rng=np.random.default_rng(5))

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
-from qinflate.cli import load_state, main
+from qinflate.cli import build_parser, load_state, main
 from qinflate.linalg import DensityMatrix
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -31,3 +32,13 @@ def test_library_example(capsys):
     want_status, want_value = code.rsplit("#", 1)[1].split()
     assert status == want_status
     assert abs(float(value) - float(want_value)) <= 1e-12
+
+
+def test_cli_examples_parse():
+    # every documented command line is one the parser accepts, without running it
+    lines = [shlex.split(line, comments=True) for block in _blocks("sh")
+             for line in block.splitlines() if line.startswith("qinflate ")]
+    assert len(lines) >= 8
+    for argv in lines:
+        args = build_parser().parse_args(argv[1:])
+        assert args.command == argv[1]

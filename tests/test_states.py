@@ -339,22 +339,20 @@ class TestSchmidt224:
 
 class TestMeasureLocal:
     def test_ghz_computational(self):
-        d = measure_local(
-            ghz_state().to_density(), LocalBasis.computational(QUBIT3)
-        )
+        d = measure_local(ghz_state().to_density(), LocalBasis((np.eye(2),) * 3))
         np.testing.assert_allclose(d.probs, ghz_distn().probs, atol=1e-12)
 
     def test_product_state_product_distribution(self):
         v = np.kron([np.sqrt(0.3), np.sqrt(0.7)], np.kron([1, 0], [0.6, 0.8]))
         psi = PureState(QUBIT3, v.astype(complex))
-        d = measure_local(psi.to_density(), LocalBasis.computational(QUBIT3))
+        d = measure_local(psi.to_density(), LocalBasis((np.eye(2),) * 3))
         expected = np.kron([0.3, 0.7], np.kron([1, 0], [0.36, 0.64]))
         np.testing.assert_allclose(d.probs, expected, atol=1e-12)
 
     def test_encode_roundtrip(self):
         probs = RNG.dirichlet(np.ones(8))
         d = Distribution((2, 2, 2), probs)
-        out = measure_local(encode_distribution(d), LocalBasis.computational(QUBIT3))
+        out = measure_local(encode_distribution(d), LocalBasis((np.eye(2),) * 3))
         np.testing.assert_allclose(out.probs, d.probs, atol=1e-14)
 
     def test_axis_labels_agree_past_26_variables(self, tmp_path):
