@@ -273,13 +273,23 @@ def _parse_grid(spec: str) -> np.ndarray:
     raise QInflateError(f"grid must be start:stop:count with finite ends and count >= 1, got {spec!r}")
 
 
+#: Closed-form sweep families: each one's parameter name in `FAMILIES` and
+#: its witness spectra.
+CLOSED_FORM_SWEEPS = {
+    "werner_ghz": ("p", werner_ghz_eigs),
+    "werner_w": ("p", werner_w_eigs),
+    "toth_acin": ("c", toth_acin_eigs),
+}
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
-    rng = np.random.default_rng(args.seed)
     lines = []
     series: dict[str, list[tuple[float, float]]] = {}
     if args.family == "tri_bell":
-        rows = sweep_tri_bell(grid, restarts=args.restarts, rng=rng)
+        seed = 0 if args.seed is None else args.seed
+        restarts = 16 if args.restarts is None else args.restarts
+        rows = sweep_tri_bell(grid, restarts=restarts, rng=np.random.default_rng(seed))
         lines.append("amplitude,min_eig,iota_tilde,iota_upper,converged")
         for r in rows:
             lines.append(
@@ -293,11 +303,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         }
         xlabel = "amplitude"
     else:
-        closed = {
-            "werner_ghz": werner_ghz_eigs,
-            "werner_w": werner_w_eigs,
-            "toth_acin": toth_acin_eigs,
-        }[args.family]
+        for flag in ("seed", "restarts"):
+            if getattr(args, flag) is not None:
+                raise QInflateError(f"--{flag} applies to tri_bell only: {args.family} is closed-form")
+        name, closed = CLOSED_FORM_SWEEPS[args.family]
+        # every grid point's state first, so that a parameter with no state is
+        # refused before any row is printed
+        for p in grid:
+            try:
+                FAMILIES[args.family]({name: float(p)})
+            except QInflateError as exc:
+                raise QInflateError(f"{args.family} has no state at {name}={_fmt(p)}: {exc}") from None
         lines.append("parameter,min_eig")
         pts = []
         for p in grid:
@@ -384,12 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
     pw.set_defaults(fn=cmd_witness)
 
     ps = sub.add_parser("sweep", help="sweep a one-parameter family to CSV/SVG")
-    ps.add_argument("family", choices=["tri_bell", "werner_ghz", "werner_w", "toth_acin"])
-    ps.add_argument("--grid", required=True, help="start:stop:count")
+    ps.add_argument("family", choices=["tri_bell", *CLOSED_FORM_SWEEPS])
+    ps.add_argument("--grid", required=True,
+                    help="start:stop:count; write a negative start as --grid=START:STOP:COUNT")
     ps.add_argument("--out", help="CSV output path (default: stdout)")
     ps.add_argument("--svg", help="optional SVG chart path")
-    ps.add_argument("--seed", type=_seed, default=0)
-    ps.add_argument("--restarts", type=int, default=16)
+    ps.add_argument("--seed", type=_seed, help="tri_bell only (default: 0)")
+    ps.add_argument("--restarts", type=int, help="tri_bell only (default: 16)")
     ps.set_defaults(fn=cmd_sweep)
 
     pd = sub.add_parser("dag", help="check inflations and list injectable sets")

@@ -341,6 +341,35 @@ class TestSweepCommand:
     def test_out_of_domain_grid(self, tmp_path, capsys):
         assert main(["sweep", "tri_bell", "--grid", "0.1:0.2:2", "--restarts", "1"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "werner_ghz", "--grid=-1:2:4"],
+        ["sweep", "werner_w", "--grid", "0:1.5:4"],
+        ["sweep", "toth_acin", "--grid=-5:5:3"],
+    ])
+    def test_closed_form_without_a_state_refused(self, capsys, argv):
+        # no row for a parameter at which the family has no state: a negative
+        # min_eig there would read as a witnessed incompatibility
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("family", ["werner_ghz", "werner_w", "toth_acin"])
+    @pytest.mark.parametrize("flag", [["--seed", "5"], ["--restarts", "4"], ["--seed", "0"]])
+    def test_closed_form_refuses_search_flags(self, capsys, family, flag):
+        assert main(["sweep", family, "--grid", "0:1:2", *flag]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert flag[0] in err
+
+    def test_tri_bell_defaults(self, tmp_path):
+        # seed 0 and 16 restarts when the flags are left out
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sweep", "tri_bell", "--grid", "0.8:0.8:1", "--out", str(a)]) == 0
+        assert main(["sweep", "tri_bell", "--grid", "0.8:0.8:1", "--out", str(b),
+                     "--seed", "0", "--restarts", "16"]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestCommandLine:
     @pytest.mark.parametrize("argv", [

@@ -55,6 +55,21 @@ def _random_witness(dims: tuple[int, ...], seed: int, pure: bool) -> WitnessOper
     return cut_witness_quantum(rho, ("A", "C"))
 
 
+def _diagonal_witness(dims: tuple[int, ...], rng: np.random.Generator) -> WitnessOperator:
+    """The entries 0, 1, ..., d - 1 in a shuffled order on the diagonal."""
+    layout = SubsystemLayout(dims, ("A", "B", "C"))
+    diag = np.diag(rng.permutation(layout.total_dim).astype(float))
+    return WitnessOperator(HermitianOperator(layout, diag), "test")
+
+
+def _product_value(res, w: WitnessOperator) -> float:
+    """<v|W|v> for v the product of the first columns of the reported bases."""
+    vec = np.ones(1)
+    for m in res.bases.matrices:
+        vec = np.kron(vec, m[:, 0])
+    return float(np.real(vec.conj() @ w.entries @ vec))
+
+
 def _oracle(w: WitnessOperator):
     return ppt_min_oracle(w.entries, w.layout.dims, opt.ADMM_PENALTY, opt.ADMM_TOL,
                           opt.ADMM_MAX_ITER)
@@ -240,11 +255,37 @@ class TestProductMin:
         rng = np.random.default_rng(26)
         w = cut_witness_quantum(w_state().to_density(), ("A", "B"))
         res = product_min(w, restarts=8, rng=rng)
-        vec = res.bases.matrices[0][:, 0]
-        for m in res.bases.matrices[1:]:
-            vec = np.kron(vec, m[:, 0])
-        got = float(np.real(vec.conj() @ w.entries @ vec))
-        assert got == pytest.approx(res.value, abs=1e-9)
+        assert _product_value(res, w) == pytest.approx(res.value, abs=1e-9)
+
+    @pytest.mark.parametrize("dims", [(4, 2, 2), (2, 4, 2), (2, 2, 4), (2, 3, 2)])
+    def test_closed_form_party_anywhere(self, dims):
+        # the largest party, minimized in closed form, may sit first, in the
+        # middle or last; the reported bases attain the value there too
+        for seed in range(3):
+            w = _random_witness(dims, seed, pure=True)
+            res = product_min(w, restarts=4, rng=np.random.default_rng(seed))
+            assert _product_value(res, w) == pytest.approx(res.value, abs=1e-9)
+            assert res.value >= w.min_eigenvalue() - 1e-9
+
+    @pytest.mark.parametrize("dims", [(2, 2, 4), (4, 2, 2), (1, 2, 2)])
+    def test_shuffled_diagonal_witness_reaches_min_entry(self, dims):
+        rng = np.random.default_rng(30)
+        w = _diagonal_witness(dims, rng)
+        res = product_min(w, restarts=16, rng=rng)
+        assert res.value == pytest.approx(0.0, abs=1e-6)
+        assert _product_value(res, w) == pytest.approx(res.value, abs=1e-9)
+
+    def test_nothing_left_to_search(self, monkeypatch):
+        # with the two other parties one-dimensional, the closed form is the
+        # whole answer: lambda_min(W), and no local search runs
+        monkeypatch.setattr(opt, "minimize", lambda *a, **k: pytest.fail("searched"))
+        layout = SubsystemLayout((1, 1, 4), ("A", "B", "C"))
+        m = random_density_matrix(layout, np.random.default_rng(31)).entries - 0.3 * np.eye(4)
+        w = WitnessOperator(HermitianOperator(layout, m), "test")
+        res = product_min(w, restarts=3, rng=np.random.default_rng(0))
+        assert res.value == pytest.approx(w.min_eigenvalue(), abs=1e-12)
+        assert res.restarts_used == 0
+        assert _product_value(res, w) == pytest.approx(res.value, abs=1e-12)
 
 
 class TestScipyBinding:
