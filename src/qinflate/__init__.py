@@ -57,6 +57,6 @@ from .dag import (
     is_nonfanout,
     marginal_independent_pairs,
 )
-from .opt import ppt_min, product_min, sweep_tri_bell
+from .opt import ppt_min, product_min, sweep
 
 __version__ = "0.1.0"

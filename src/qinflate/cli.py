@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from typing import Any, Optional, Union
 
 import numpy as np
@@ -18,7 +19,7 @@ from .dag import build_triangle, injectable_sets, is_inflation, is_nonfanout, pa
 from .errors import InvalidParameter, QInflateError
 from .linalg import (VERDICT_TOL, DensityMatrix, HermitianOperator, SubsystemLayout,
                      _checked_array, _checked_dims)
-from .opt import sweep_tri_bell
+from .opt import _checked_restarts, sweep
 from .reproduce import CLAIMS, run_all, run_claim
 from .states import (
     Distribution,
@@ -31,18 +32,12 @@ from .states import (
     schmidt224,
     toth_acin,
     tri_bell,
+    tri_bell_t_from_amplitude,
     w_distn,
     w_state,
     white_noise_mixture,
 )
-from .witness import (
-    cut_witness_classical,
-    cut_witness_quantum,
-    toth_acin_eigs,
-    verdict,
-    werner_ghz_eigs,
-    werner_w_eigs,
-)
+from .witness import cut_witness_classical, cut_witness_quantum, verdict
 
 CUTS = {"AB": ("A", "B"), "AC": ("A", "C"), "BC": ("B", "C")}
 
@@ -273,64 +268,43 @@ def _parse_grid(spec: str) -> np.ndarray:
     raise QInflateError(f"grid must be start:stop:count with finite ends and count >= 1, got {spec!r}")
 
 
-#: Closed-form sweep families: each one's parameter name in `FAMILIES` and
-#: its witness spectra.
-CLOSED_FORM_SWEEPS = {
-    "werner_ghz": ("p", werner_ghz_eigs),
-    "werner_w": ("p", werner_w_eigs),
-    "toth_acin": ("c", toth_acin_eigs),
+#: Sweepable families: each one's CSV column, and its `FAMILIES` parameters
+#: at one grid value. tri_bell's axis is the leading amplitude, not t.
+SWEEPS = {
+    "tri_bell": ("amplitude", lambda a: {"t": tri_bell_t_from_amplitude(a)}),
+    "werner_ghz": ("p", lambda p: {"p": p}),
+    "werner_w": ("p", lambda p: {"p": p}),
+    "toth_acin": ("c", lambda c: {"c": c}),
 }
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
-    lines = []
-    series: dict[str, list[tuple[float, float]]] = {}
-    if args.family == "tri_bell":
-        seed = 0 if args.seed is None else args.seed
-        restarts = 16 if args.restarts is None else args.restarts
-        rows = sweep_tri_bell(grid, restarts=restarts, rng=np.random.default_rng(seed))
-        lines.append("amplitude,min_eig,iota_tilde,iota_upper,converged")
-        for r in rows:
+    column, params = SWEEPS[args.family]
+    # every point's state, then the restarts, then both outputs: whichever is
+    # bad is refused before the first solve
+    states = []
+    for x in grid:
+        try:
+            states.append(FAMILIES[args.family](params(float(x))))
+        except QInflateError as exc:
+            raise QInflateError(f"{args.family} has no state at {column}={_fmt(x)}: {exc}") from None
+    _checked_restarts(args.restarts)
+    with ExitStack() as stack:
+        out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
+        svg = stack.enter_context(open(args.svg, "w")) if args.svg else None
+        rows = sweep(states, args.restarts, np.random.default_rng(args.seed))
+        lines = [f"{column},min_eig,iota_tilde,iota_upper,converged"]
+        for x, r in zip(grid, rows):
             lines.append(
-                f"{_fmt(r.amplitude)},{_fmt(r.min_eig)},{_fmt(r.iota_tilde)},"
+                f"{_fmt(x)},{_fmt(r.min_eig)},{_fmt(r.iota_tilde)},"
                 f"{_fmt(r.iota_upper)},{str(r.converged).lower()}"
             )
-        series = {
-            "min_eig": [(r.amplitude, r.min_eig) for r in rows],
-            "iota_tilde": [(r.amplitude, r.iota_tilde) for r in rows],
-            "iota_upper": [(r.amplitude, r.iota_upper) for r in rows],
-        }
-        xlabel = "amplitude"
-    else:
-        for flag in ("seed", "restarts"):
-            if getattr(args, flag) is not None:
-                raise QInflateError(f"--{flag} applies to tri_bell only: {args.family} is closed-form")
-        name, closed = CLOSED_FORM_SWEEPS[args.family]
-        # every grid point's state first, so that a parameter with no state is
-        # refused before any row is printed
-        for p in grid:
-            try:
-                FAMILIES[args.family]({name: float(p)})
-            except QInflateError as exc:
-                raise QInflateError(f"{args.family} has no state at {name}={_fmt(p)}: {exc}") from None
-        lines.append("parameter,min_eig")
-        pts = []
-        for p in grid:
-            lo = float(closed(float(p))[0])
-            lines.append(f"{_fmt(p)},{_fmt(lo)}")
-            pts.append((float(p), lo))
-        series = {"min_eig": pts}
-        xlabel = "parameter"
-    csv = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
-    else:
-        sys.stdout.write(csv)
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_svg(series, f"{args.family} sweep", xlabel, "value"))
+        out.write("\n".join(lines) + "\n")
+        if svg is not None:
+            series = {name: [(float(x), getattr(r, name)) for x, r in zip(grid, rows)]
+                      for name in ("min_eig", "iota_tilde", "iota_upper")}
+            svg.write(render_svg(series, f"{args.family} sweep", column, "value"))
     return 0
 
 
@@ -400,13 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     pw.set_defaults(fn=cmd_witness)
 
     ps = sub.add_parser("sweep", help="sweep a one-parameter family to CSV/SVG")
-    ps.add_argument("family", choices=["tri_bell", *CLOSED_FORM_SWEEPS])
+    ps.add_argument("family", choices=list(SWEEPS))
     ps.add_argument("--grid", required=True,
                     help="start:stop:count; write a negative start as --grid=START:STOP:COUNT")
     ps.add_argument("--out", help="CSV output path (default: stdout)")
     ps.add_argument("--svg", help="optional SVG chart path")
-    ps.add_argument("--seed", type=_seed, help="tri_bell only (default: 0)")
-    ps.add_argument("--restarts", type=int, help="tri_bell only (default: 16)")
+    ps.add_argument("--seed", type=_seed, default=0,
+                    help="seed of the product search (default: 0)")
+    ps.add_argument("--restarts", type=int, default=16,
+                    help="product-search restarts per grid point (default: 16)")
     ps.set_defaults(fn=cmd_sweep)
 
     pd = sub.add_parser("dag", help="check inflations and list injectable sets")

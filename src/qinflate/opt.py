@@ -22,8 +22,8 @@ is a weak-duality bound from the final duals: up to rounding, at most the
 relaxation's true minimum, whether or not the iteration converged.
 
 scipy is imported on the first product search (`product_min`, and through it
-`sweep_tri_bell`), not when this module is imported, so `import qinflate` and
-every other computation need numpy alone.
+`sweep`), not when this module is imported, so `import qinflate` and every
+other computation need numpy alone.
 """
 
 from __future__ import annotations
@@ -264,9 +264,8 @@ def product_min(w: WitnessOperator, restarts: int,
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point of the tri-Bell amplitude sweep."""
+    """One grid point of a sweep: cut AB's witness and its bracket."""
 
-    amplitude: float
     min_eig: float
     iota_tilde: float
     iota_upper: float
@@ -277,21 +276,19 @@ def _tri_bell_witness(a: float) -> WitnessOperator:
     return cut_witness_quantum(tri_bell(tri_bell_t_from_amplitude(a)).to_density(), ("A", "B"))
 
 
-def sweep_tri_bell(
-    grid: Sequence[float], restarts: int, rng: np.random.Generator
+def sweep(
+    states: Sequence[DensityMatrix], restarts: int, rng: np.random.Generator
 ) -> list[SweepRow]:
-    """Evaluate min eigenvalue, relaxation value, and product upper bound on a
-    grid of tri-Bell amplitudes in [1/sqrt(3), 1)."""
+    """Evaluate cut AB's witness of each state: its minimum eigenvalue, the
+    relaxation value, and the product upper bound."""
     _checked_restarts(restarts)
-    # every witness first, so that a bad amplitude is refused before any solve
-    points = [(a, _tri_bell_witness(a)) for a in grid]
+    # every witness first, so that a bad state is refused before any solve
+    witnesses = [cut_witness_quantum(rho, ("A", "B")) for rho in states]
     rows = []
-    for a, w in points:
+    for w in witnesses:
         sdp = ppt_min(w)
         prod = product_min(w, restarts, rng)
-        rows.append(
-            SweepRow(float(a), w.min_eigenvalue(), sdp.value, prod.value, sdp.converged)
-        )
+        rows.append(SweepRow(w.min_eigenvalue(), sdp.value, prod.value, sdp.converged))
     return rows
 
 

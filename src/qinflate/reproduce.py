@@ -26,7 +26,7 @@ from .linalg import (
     min_eigenvalue,
     partial_transpose,
 )
-from .opt import iota_tilde_crossing, ppt_min, sweep_tri_bell
+from .opt import iota_tilde_crossing, ppt_min, sweep
 from .states import (
     LocalBasis,
     ghz_distn,
@@ -41,6 +41,7 @@ from .states import (
     schmidt224,
     toth_acin_operator,
     tri_bell,
+    tri_bell_t_from_amplitude,
     w_distn,
     w_state,
     white_noise_mixture,
@@ -242,7 +243,8 @@ def claim_ac8(rng: np.random.Generator) -> list[CheckRow]:
 
 def claim_ac9(rng: np.random.Generator) -> list[CheckRow]:
     grid = np.linspace(0.60, 0.95, 8)
-    rows_out = sweep_tri_bell(grid, restarts=AC9_RESTARTS, rng=rng)
+    states = [tri_bell(tri_bell_t_from_amplitude(a)).to_density() for a in grid]
+    rows_out = sweep(states, restarts=AC9_RESTARTS, rng=rng)
     sandwich_ok = all(r.iota_tilde <= r.iota_upper + 1e-6 for r in rows_out)
     converged_ok = all(r.converged for r in rows_out)
     crossing = iota_tilde_crossing(0.70, 0.95, iters=14)

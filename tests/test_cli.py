@@ -7,11 +7,12 @@ import json
 import numpy as np
 import pytest
 
+from qinflate import opt
 from qinflate.cli import CUTS, load_state, main, save_state
 from qinflate.errors import InvalidParameter
 from qinflate.linalg import DensityMatrix, permute_subsystems
 from qinflate.states import Distribution, ghz_distn, ghz_state, w_state, tri_bell
-from qinflate.witness import cut_witness_quantum
+from qinflate.witness import cut_witness_quantum, toth_acin_eigs, werner_ghz_eigs, werner_w_eigs
 
 
 def write_family(tmp_path, name, params=None):
@@ -21,6 +22,19 @@ def write_family(tmp_path, name, params=None):
         doc["data"]["params"] = params
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+@pytest.fixture
+def ppt_calls(monkeypatch):
+    """Calls of `opt.ppt_min`, counted through a wrapper."""
+    real, calls = opt.ppt_min, []
+
+    def counting(w):
+        calls.append(1)
+        return real(w)
+
+    monkeypatch.setattr(opt, "ppt_min", counting)
+    return calls
 
 
 class TestStateFiles:
@@ -308,16 +322,35 @@ class TestSweepCommand:
 
     def test_closed_form_family(self, tmp_path):
         out = tmp_path / "w.csv"
-        rc = main(["sweep", "werner_w", "--grid", "0:1:5", "--out", str(out)])
+        rc = main(["sweep", "werner_w", "--grid", "0:1:5", "--out", str(out), "--restarts", "2"])
         assert rc == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "parameter,min_eig"
+        assert lines[0] == "p,min_eig,iota_tilde,iota_upper,converged"
         assert len(lines) == 6
 
     def test_stdout_default(self, capsys):
-        assert main(["sweep", "werner_ghz", "--grid", "0:1:3"]) == 0
+        assert main(["sweep", "werner_ghz", "--grid", "0:1:3", "--restarts", "2"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("parameter,min_eig")
+        assert out.startswith("p,min_eig,iota_tilde,iota_upper,converged\n")
+
+    @pytest.mark.parametrize("family, grid, closed", [
+        ("werner_ghz", "0:1:5", werner_ghz_eigs),
+        ("werner_w", "0:1:21", werner_w_eigs),
+        ("toth_acin", "-0.5:1:7", toth_acin_eigs),
+    ], ids=["werner_ghz", "werner_w", "toth_acin"])
+    def test_computed_min_eig_matches_closed_forms(self, capsys, family, grid, closed):
+        # the README's grids: lambda_min of the witness built from each
+        # point's state is the closed form's minimum
+        assert main(["sweep", family, f"--grid={grid}", "--restarts", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + int(grid.rsplit(":", 1)[1])
+        for line in lines[1:]:
+            x, min_eig, iota_tilde, iota_upper, converged = line.split(",")
+            assert abs(float(min_eig) - min(closed(float(x)))) <= 1e-12
+            assert converged == "true"
+            # iota_tilde is the uncertified relaxation value: it can sit a
+            # few 1e-8 above the product bound
+            assert float(iota_tilde) <= float(iota_upper) + 1e-6
 
     def test_bad_grid(self, capsys):
         assert main(["sweep", "werner_ghz", "--grid", "oops"]) == 1
@@ -354,13 +387,43 @@ class TestSweepCommand:
         assert out == ""
         assert err.startswith("error: ")
 
-    @pytest.mark.parametrize("family", ["werner_ghz", "werner_w", "toth_acin"])
-    @pytest.mark.parametrize("flag", [["--seed", "5"], ["--restarts", "4"], ["--seed", "0"]])
-    def test_closed_form_refuses_search_flags(self, capsys, family, flag):
-        assert main(["sweep", family, "--grid", "0:1:2", *flag]) == 1
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "tri_bell", "--grid", "0.8:1:3"],
+        ["sweep", "tri_bell", "--grid", "0.9:0.1:3"],
+        ["sweep", "werner_ghz", "--grid=-1:2:4"],
+    ], ids=["amplitude-1-last", "amplitude-0.5-middle", "werner_ghz-p-minus-1-first"])
+    def test_refused_before_any_solve(self, capsys, ppt_calls, argv):
+        assert main(argv + ["--restarts", "1"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert flag[0] in err
+        assert "has no state at" in err
+        assert ppt_calls == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_bad_output_path_refused_before_any_solve(self, tmp_path, capsys, ppt_calls, flag):
+        path = tmp_path / "missing" / "x"
+        argv = ["sweep", "tri_bell", "--grid", "0.8:0.9:2", "--restarts", "1", flag, str(path)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert ppt_calls == []
+
+    @pytest.mark.parametrize("family", ["werner_ghz", "werner_w", "toth_acin"])
+    def test_seed_and_restarts_apply_to_every_family(self, tmp_path, monkeypatch, family):
+        real, calls = opt.minimize, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(opt, "minimize", counting)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["sweep", family, "--grid", "0.5:0.5:1", "--seed", "5", "--restarts", "3"]
+        assert main(args + ["--out", str(a)]) == 0
+        assert len(calls) == 3
+        assert main(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_tri_bell_defaults(self, tmp_path):
         # seed 0 and 16 restarts when the flags are left out

@@ -24,7 +24,7 @@ from qinflate.opt import (
     iota_tilde_crossing,
     ppt_min,
     product_min,
-    sweep_tri_bell,
+    sweep,
 )
 from qinflate.states import (
     QUBIT3,
@@ -32,6 +32,7 @@ from qinflate.states import (
     random_density_matrix,
     random_pure_state,
     tri_bell,
+    tri_bell_t_from_amplitude,
     w_state,
 )
 from qinflate.witness import WitnessOperator, cut_witness_quantum
@@ -312,36 +313,39 @@ class TestScipyBinding:
         assert len(calls) == 2 == res.restarts_used
 
 
+def _tri_bell_states(amplitudes):
+    return [tri_bell(tri_bell_t_from_amplitude(a)).to_density() for a in amplitudes]
+
+
 class TestSweep:
     def test_rows_and_ordering(self):
         rng = np.random.default_rng(27)
-        grid = [0.60, 0.75, 0.90]
-        rows = sweep_tri_bell(grid, restarts=6, rng=rng)
-        assert [r.amplitude for r in rows] == grid
+        states = _tri_bell_states([0.60, 0.75, 0.90])
+        rows = sweep(states, restarts=6, rng=rng)
+        assert [r.min_eig for r in rows] == [
+            cut_witness_quantum(s, ("A", "B")).min_eigenvalue() for s in states
+        ]
         for r in rows:
             assert r.converged
             assert r.min_eig <= r.iota_tilde + 1e-6 <= r.iota_upper + 2e-6
 
     def test_signs_across_crossing(self):
         rng = np.random.default_rng(28)
-        rows = sweep_tri_bell([0.70, 0.90], restarts=6, rng=rng)
+        rows = sweep(_tri_bell_states([0.70, 0.90]), restarts=6, rng=rng)
         assert rows[0].iota_tilde < 0 < rows[1].iota_tilde
 
     def test_domain(self):
         for a in (1 / np.sqrt(3) - 1e-10, 0.5, 1.0):
             with pytest.raises(DomainError):
-                sweep_tri_bell([a], restarts=1, rng=np.random.default_rng(0))
+                sweep(_tri_bell_states([a]), restarts=1, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("a", [np.sqrt(1 / 3), 1 / np.sqrt(3), 1 / np.sqrt(3) - 5e-13])
     def test_lower_edge_sweeps(self, a):
         # np.sqrt(1 / 3) is one ulp below 1 / np.sqrt(3): t rounds below 3
-        (row,) = sweep_tri_bell([a], restarts=1, rng=np.random.default_rng(0))
-        assert row.amplitude == a
+        (row,) = sweep(_tri_bell_states([a]), restarts=1, rng=np.random.default_rng(0))
         assert row.min_eig <= row.iota_tilde + 1e-6 <= row.iota_upper + 2e-6
 
-    @pytest.mark.parametrize("grid, restarts", [
-        ([0.8, 0.9], 0), ([0.8, 0.9], 2.5), ([0.8, 0.9, 1.0], 1), ([0.8, 0.5, 0.9], 1),
-    ])
+    @pytest.mark.parametrize("grid, restarts", [([0.8, 0.9], 0), ([0.8, 0.9], 2.5)])
     def test_refused_before_any_solve(self, monkeypatch, grid, restarts):
         real = opt.ppt_min
         calls = []
@@ -352,13 +356,13 @@ class TestSweep:
 
         monkeypatch.setattr(opt, "ppt_min", counting)
         with pytest.raises(DomainError):
-            sweep_tri_bell(grid, restarts=restarts, rng=np.random.default_rng(0))
+            sweep(_tri_bell_states(grid), restarts=restarts, rng=np.random.default_rng(0))
         assert calls == []
 
     def test_deterministic_given_seed(self):
-        grid = [0.8]
-        a = sweep_tri_bell(grid, restarts=4, rng=np.random.default_rng(5))
-        b = sweep_tri_bell(grid, restarts=4, rng=np.random.default_rng(5))
+        states = _tri_bell_states([0.8])
+        a = sweep(states, restarts=4, rng=np.random.default_rng(5))
+        b = sweep(states, restarts=4, rng=np.random.default_rng(5))
         assert a[0].iota_upper == b[0].iota_upper
 
 
