@@ -19,7 +19,8 @@ at a time. A real witness (every tri-Bell one) is solved in real arithmetic:
 partial transposes keep real symmetric matrices real symmetric, and rho and
 its transpose are feasible with the same value. `SdpResult.certified_lower`
 is a weak-duality bound from the final duals: up to rounding, at most the
-relaxation's true minimum, whether or not the iteration converged.
+relaxation's true minimum, whether or not the iteration converged, and from
+any start: the tri-Bell crossing warm-starts each step on that bound.
 
 scipy is imported on the first product search (`product_min`, and through it
 `sweep`), not when this module is imported, so `import qinflate` and every
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import DomainError
 from .linalg import DensityMatrix, HermitianOperator, _is_int, _partial_transpose, min_eigenvalue
 from .states import LocalBasis, tri_bell, tri_bell_t_from_amplitude
-from .witness import WitnessOperator, _bisect_crossing, cut_witness_quantum
+from .witness import WitnessOperator, cut_witness_quantum
 
 ADMM_PENALTY = 1.0
 ADMM_MAX_ITER = 20000
@@ -71,6 +72,7 @@ class SdpResult:
     iterations: int
     converged: bool
     certified_lower: float
+    duals: np.ndarray  # final (4, d, d) scaled duals, one per cone
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ def _cone_gather_index(dims: tuple[int, ...]) -> np.ndarray:
     return np.stack(rows) + d * d * np.arange(len(rows))[:, None, None]
 
 
-def ppt_min(w: WitnessOperator) -> SdpResult:
+def ppt_min(w: WitnessOperator, *, start: SdpResult | None = None) -> SdpResult:
     """Minimize Tr[rho W] over unit-trace states PSD under every single-subsystem
     partial transpose.
 
@@ -112,11 +114,15 @@ def ppt_min(w: WitnessOperator) -> SdpResult:
     variable absorbs the linear objective and the trace constraint. Stops
     when both residuals fall below 1e-7, or returns converged=False at the
     iteration cap. `certified_lower` is the dual bound built from the final
-    scaled duals, valid whether or not the solver converged.
+    scaled duals, valid whether or not the solver converged. `start`, a result
+    on the same layout, warm-starts the iteration from its minimizer and its
+    `duals` (Boyd et al., Found. Trends Mach. Learn. 3, 1 (2011), 3.4.1).
     """
     layout = w.layout
     if layout.n_subsystems != 3 or layout.total_dim > 16:
         raise DomainError("relaxation covers three subsystems of total dimension <= 16")
+    if start is not None and start.minimizer.layout != layout:
+        raise DomainError("a warm start must come from a witness on the same layout")
     d = layout.total_dim
     wm = w.entries
     if not wm.imag.any():
@@ -134,8 +140,12 @@ def ppt_min(w: WitnessOperator) -> SdpResult:
 
     eye = np.eye(d)
     w_share = wm / (n_cones * rho_pen)
-    z = np.eye(d, dtype=wm.dtype) / d
-    us = np.zeros((n_cones, d, d), dtype=wm.dtype)
+    if start is None:
+        z = np.eye(d, dtype=wm.dtype) / d
+        us = np.zeros((n_cones, d, d), dtype=wm.dtype)
+    else:  # a real witness starts from the start's real parts
+        z, us = (np.array(m.real if np.isrealobj(wm) else m, dtype=wm.dtype)
+                 for m in (start.minimizer.entries, start.duals))
     primal = dual = np.inf
     it = 0
     for it in range(1, ADMM_MAX_ITER + 1):
@@ -164,7 +174,7 @@ def ppt_min(w: WitnessOperator) -> SdpResult:
     m /= np.trace(m).real
     minimizer = DensityMatrix(HermitianOperator(layout, m))
     value = float(np.real(np.trace(m @ wm)))
-    return SdpResult(value, minimizer, primal, dual, it, converged, certified_lower)
+    return SdpResult(value, minimizer, primal, dual, it, converged, certified_lower, us)
 
 
 def _unit_vector(params: np.ndarray, dim: int) -> np.ndarray:
@@ -280,7 +290,7 @@ def sweep(
     states: Sequence[DensityMatrix], restarts: int, rng: np.random.Generator
 ) -> list[SweepRow]:
     """Evaluate cut AB's witness of each state: its minimum eigenvalue, the
-    relaxation value, and the product upper bound."""
+    relaxation's certified lower bound, and the product upper bound."""
     _checked_restarts(restarts)
     # every witness first, so that a bad state is refused before any solve
     witnesses = [cut_witness_quantum(rho, ("A", "B")) for rho in states]
@@ -288,18 +298,41 @@ def sweep(
     for w in witnesses:
         sdp = ppt_min(w)
         prod = product_min(w, restarts, rng)
-        rows.append(SweepRow(w.min_eigenvalue(), sdp.value, prod.value, sdp.converged))
+        rows.append(SweepRow(w.min_eigenvalue(), sdp.certified_lower, prod.value, sdp.converged))
     return rows
 
 
 def iota_tilde_crossing(lo: float = 0.70, hi: float = 0.95, iters: int = 12) -> float:
-    """Bisect the sign change of the relaxation value over the amplitude axis."""
+    """Midpoint of a bracket of width <= (hi - lo) / 2**iters on the tri-Bell
+    amplitude axis, `certified_lower` <= 0 at its lower end and > 0 at its
+    upper one, where no product-basis measurement exposes the state.
+
+    `iters` sets the resolution, not the number of solves. Each step is an
+    Illinois regula-falsi step (Dowell & Jarratt, BIT 11, 168 (1971)) at least
+    half the resolution inside the bracket, or a bisection after three steps
+    in a row that failed to halve it, and warm-starts from the nearer end.
+    """
     if not _is_int(iters) or iters < 1:
         raise DomainError(f"the crossing needs an integer iters >= 1, got {iters!r}")
-    f_lo = ppt_min(_tri_bell_witness(lo)).value
-    f_hi = ppt_min(_tri_bell_witness(hi)).value
+    tol = (hi - lo) / 2 ** iters
+    r_lo, r_hi = ppt_min(_tri_bell_witness(lo)), ppt_min(_tri_bell_witness(hi))
+    f_lo, f_hi = r_lo.certified_lower, r_hi.certified_lower
     if not (f_lo < 0 < f_hi):
         raise DomainError(
-            f"no sign change on [{lo}, {hi}]: values ({f_lo:.3e}, {f_hi:.3e})"
+            f"no sign change on [{lo}, {hi}]: certified bounds ({f_lo:.3e}, {f_hi:.3e})"
         )
-    return _bisect_crossing(lambda a: -ppt_min(_tri_bell_witness(a)).value, lo, hi, iters)
+    # kept: the end the last step kept (-1 lower, 1 upper); slow: steps in a
+    # row that failed to halve the bracket
+    kept = slow = 0
+    while hi - lo > tol:
+        width, bisect = hi - lo, slow >= 3
+        x = (lo + hi) / 2 if bisect else (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        x = min(max(x, lo + tol / 2), hi - tol / 2)
+        r = ppt_min(_tri_bell_witness(x), start=r_lo if x - lo <= hi - x else r_hi)
+        # Illinois: an end kept twice in a row enters the next secant at half its value
+        if r.certified_lower <= 0:
+            lo, f_lo, r_lo, f_hi, kept = x, r.certified_lower, r, f_hi / (1 + (kept == 1)), 1
+        else:
+            hi, f_hi, r_hi, f_lo, kept = x, r.certified_lower, r, f_lo / (1 + (kept == -1)), -1
+        slow = 0 if bisect or hi - lo <= width / 2 else slow + 1
+    return (lo + hi) / 2

@@ -259,7 +259,7 @@ def claim_ac9(rng: np.random.Generator) -> list[CheckRow]:
         ),
     )
     return [
-        _row("relaxation-value sign change (amplitude)", 0.82, crossing, 0.02),
+        _row("certified-bound sign change (amplitude)", 0.82, crossing, 0.02),
         _bool_row("lower bound below product upper bound on every grid point", sandwich_ok),
         _bool_row("solver converged on every grid point", converged_ok),
         _row("worst constraint violation of the minimizer", 0.0, max(0.0, -cert), 1e-7),

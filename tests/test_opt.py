@@ -178,13 +178,80 @@ class TestPptMin:
         # each of them, and so on every mixture of them.
         rng = np.random.default_rng(29)
         for w in (_interior_point_witnesses()[2], _random_witness((2, 2, 4), 0, pure=True)):
-            lower = ppt_min(w).certified_lower
-            for _ in range(500):
-                vec = np.ones(1)
-                for d in w.layout.dims:
-                    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                    vec = np.kron(vec, v / np.linalg.norm(v))
-                assert float(np.real(vec.conj() @ w.entries @ vec)) >= lower
+            _assert_below_product_states(w, ppt_min(w).certified_lower, rng)
+
+
+def _assert_below_product_states(w: WitnessOperator, lower: float,
+                                 rng: np.random.Generator) -> None:
+    for _ in range(500):
+        vec = np.ones(1)
+        for d in w.layout.dims:
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            vec = np.kron(vec, v / np.linalg.norm(v))
+        assert float(np.real(vec.conj() @ w.entries @ vec)) >= lower
+
+
+def _fields_equal(a, b) -> bool:
+    """Every field equal, the minimizer by its entries."""
+    def entries(v):
+        return getattr(v, "entries", v)
+
+    return all(np.array_equal(entries(getattr(a, f)), entries(getattr(b, f)))
+               for f in a.__dataclass_fields__)
+
+
+class TestWarmStart:
+    def test_reaches_the_cold_optimum(self):
+        start = ppt_min(opt._tri_bell_witness(0.80))
+        for a in (0.81, 0.82, 0.90):
+            w = opt._tri_bell_witness(a)
+            warm, cold = ppt_min(w, start=start), ppt_min(w)
+            assert warm.converged
+            assert warm.value == pytest.approx(cold.value, abs=1e-6)
+
+    def test_complex_witness_from_a_real_start(self):
+        # the start's layout matches; its real duals start a complex solve
+        w = _random_witness((2, 2, 2), 0, pure=True)
+        start = ppt_min(WitnessOperator(HermitianOperator(w.layout, np.eye(8)), "test"))
+        warm = ppt_min(w, start=start)
+        assert warm.converged
+        assert warm.value == pytest.approx(ppt_min(w).value, abs=1e-6)
+
+    def test_certificate_holds(self):
+        start = ppt_min(opt._tri_bell_witness(0.80))
+        for a in (0.81, 0.83):
+            w = opt._tri_bell_witness(a)
+            res = ppt_min(w, start=start)
+            upper = product_min(w, 4, np.random.default_rng(30)).value
+            assert res.certified_lower <= res.value
+            assert res.certified_lower <= upper
+
+    def test_certified_lower_bounds_separable_states(self):
+        rng = np.random.default_rng(29)
+        tri = _interior_point_witnesses()[2]
+        pure = _random_witness((2, 2, 4), 0, pure=True)
+        for w, near in ((tri, cut_witness_quantum(tri_bell(3.2).to_density(), ("A", "B"))),
+                        (pure, _random_witness((2, 2, 4), 1, pure=True))):
+            res = ppt_min(w, start=ppt_min(near))
+            assert res.converged
+            _assert_below_product_states(w, res.certified_lower, rng)
+
+    def test_other_layout_refused_before_any_iteration(self, monkeypatch):
+        start = ppt_min(WitnessOperator(HermitianOperator(QUBIT3, np.eye(8)), "test"))
+        monkeypatch.setattr(opt, "_psd_clip", None)
+        for dims, labels in (((2, 2, 4), "ABC"), ((2, 2, 2), "ACB")):
+            layout = SubsystemLayout(dims, tuple(labels))
+            w = WitnessOperator(HermitianOperator(layout, np.eye(layout.total_dim)), "test")
+            with pytest.raises(DomainError, match="layout"):
+                ppt_min(w, start=start)
+
+    @pytest.mark.parametrize("w", [
+        _random_witness((2, 2, 2), 1, pure=False), opt._tri_bell_witness(0.82),
+    ], ids=["complex", "real"])
+    def test_no_start_is_the_cold_solve(self, w):
+        a, b = ppt_min(w), ppt_min(w, start=None)
+        assert _fields_equal(a, b)
+        assert a.duals.shape == (4, 8, 8)
 
 
 class TestPptMinMatchesPerConeLoop:
@@ -366,10 +433,52 @@ class TestSweep:
         assert a[0].iota_upper == b[0].iota_upper
 
 
+@pytest.fixture
+def crossing_solves(monkeypatch):
+    """(amplitude, SdpResult) of each `ppt_min` call the crossing makes."""
+    real_witness, real_min, amplitudes, solves = opt._tri_bell_witness, opt.ppt_min, [], []
+
+    def witness(a):
+        amplitudes.append(a)
+        return real_witness(a)
+
+    def solve(w, **kwargs):
+        solves.append((amplitudes[-1], real_min(w, **kwargs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(opt, "_tri_bell_witness", witness)
+    monkeypatch.setattr(opt, "ppt_min", solve)
+    return solves
+
+
 class TestCrossing:
     def test_crossing_location(self):
         x = iota_tilde_crossing()
         assert x == pytest.approx(0.82, abs=0.02)
+
+    def test_cost_and_answer(self, crossing_solves):
+        # 16 cold solves and 1316 ADMM iterations by bisection on `value`,
+        # which answered 0.8164932250976562
+        x = iota_tilde_crossing(0.70, 0.95, iters=14)
+        assert len(crossing_solves) <= 10
+        assert sum(r.iterations for _, r in crossing_solves) <= 800
+        assert abs(x - 0.8164932250976562) <= 0.25 / 2 ** 14
+
+    def test_upper_end_certified(self, crossing_solves):
+        x = iota_tilde_crossing(0.70, 0.95, iters=14)
+        a, res = min(((a, r) for a, r in crossing_solves if a > x), key=lambda ar: ar[0])
+        assert a - x <= 0.25 / 2 ** 14
+        assert res.certified_lower > 0
+        below = max(((a, r) for a, r in crossing_solves if a < x), key=lambda ar: ar[0])
+        assert below[1].certified_lower <= 0
+
+    def test_wide_non_monotone_bracket(self, crossing_solves):
+        # the bound is +0.02 at 0.90 and +2e-4 at 0.99: the secant steps
+        # creep in from the upper end until a bisection steps past the hump
+        iters = 14
+        x = iota_tilde_crossing(0.70, 0.99, iters=iters)
+        assert len(crossing_solves) <= 2 + 2 * iters
+        assert abs(x - 0.8164932250976562) <= 0.29 / 2 ** iters
 
     def test_bad_bracket(self):
         with pytest.raises(DomainError):
